@@ -183,8 +183,10 @@ class FilteringPipeline:
         self._mem_word_gens = md_memory.word_generations
         self._fsq_word_gens = fsq.word_generations if fsq is not None else {}
         self._reg_bytes = md_registers._bytes
-        self._mem_bytes = md_memory._bytes
-        self._mem_default = md_memory.default
+        # Explicit metadata bytes; a miss (None) falls back to
+        # ``_mem_lookup``, which materialises words inside range extents.
+        self._mem_bytes = md_memory.words.explicit
+        self._mem_lookup = md_memory.words.lookup
         self._fsq_by_word = fsq._by_word if fsq is not None else None
         self._inv_values = inv_rf._values
         self.memo_hits = 0
@@ -419,7 +421,9 @@ class FilteringPipeline:
                         forwarded = True
                         memory_value = stack[-1].value
                 if not forwarded:
-                    memory_value = self._mem_bytes.get(word, self._mem_default)
+                    memory_value = self._mem_bytes.get(word)
+                    if memory_value is None:
+                        memory_value = self._mem_lookup(word)
             inv_ids = profile.inv_ids
             if not inv_ids:
                 value_key = (event_id, r1, r2, rd, memory_value, ())

@@ -32,7 +32,7 @@ from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.metadata.shadow import ShadowMemory
+from repro.metadata.shadow import ShadowMemory, words_present
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import ATOMCHECK_COSTS, HandlerCosts
 from repro.monitors.reports import BugKind, BugReport
@@ -197,11 +197,12 @@ class AtomCheck(Monitor):
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         # Allocation events reset the access history of the region.
         if event.kind in (HighLevelKind.MALLOC, HighLevelKind.FREE):
-            words = 0
-            for word in words_in_range(event.address, event.size):
-                self._last_access.pop(word, None)
-                self.critical_mem.write(word, 0x00)
-                words += 1
+            last_access = self._last_access
+            for word in words_present(
+                last_access, words_in_range(event.address, event.size)
+            ):
+                del last_access[word]
+            words = self.critical_mem.clear(event.address, event.size)
             cost = (
                 self.costs.malloc(words)
                 if event.kind is HighLevelKind.MALLOC

@@ -32,7 +32,7 @@ from repro.fade.programming import FadeProgram
 from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
-from repro.metadata.shadow import ShadowMemory, ShadowRegisters
+from repro.metadata.shadow import ShadowMemory, ShadowRegisters, WordMap
 from repro.monitors.handlers import HandlerCosts
 from repro.monitors.reports import BugReport
 from repro.workload.trace import HighLevelEvent, HighLevelKind
@@ -92,7 +92,7 @@ class Monitor(abc.ABC):
     metadata_write_footprint: frozenset = frozenset({"regs", "mem", "inv"})
     #: True when every critical-metadata mutation the monitor performs goes
     #: through the generation-tracked channels (``ShadowRegisters.write``,
-    #: ``ShadowMemory.write``/``bulk_set``/``reset``,
+    #: ``ShadowMemory.write``/``bulk_set``/``clear``,
     #: ``InvariantRegisterFile.write``) — the invariant that makes FADE's
     #: filter memo and the simulator's burst draining sound.  A monitor
     #: that pokes critical state through any other channel (e.g. replacing
@@ -195,7 +195,8 @@ class Monitor(abc.ABC):
 
     #: Instance attributes the base class owns; everything else in
     #: ``__dict__`` is subclass state and is captured generically (the five
-    #: paper monitors hold only plain dict/set/list/int state).
+    #: paper monitors hold only plain dict/set/list/int state and
+    #: :class:`WordMap` stores, which capture through their own protocol).
     _BASE_STATE_ATTRS = frozenset(
         {"costs", "critical_regs", "critical_mem", "reports", "current_thread"}
     )
@@ -204,17 +205,22 @@ class Monitor(abc.ABC):
         """Serializable mid-run state: the critical stores, bug reports,
         thread id, and (deep-copied) subclass authoritative state.
         ``costs`` is configuration, reconstructed from the spec."""
-        extra = {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in self._BASE_STATE_ATTRS
-        }
+        extra = {}
+        word_maps = {}
+        for name, value in self.__dict__.items():
+            if name in self._BASE_STATE_ATTRS:
+                continue
+            if isinstance(value, WordMap):
+                word_maps[name] = value.capture_state()
+            else:
+                extra[name] = value
         return {
             "critical_regs": self.critical_regs.capture_state(),
             "critical_mem": self.critical_mem.capture_state(),
             "reports": list(self.reports),
             "current_thread": self.current_thread,
             "extra": copy.deepcopy(extra),
+            "word_maps": word_maps,
         }
 
     def restore_state(self, state: dict, owned: bool = False) -> None:
@@ -233,6 +239,8 @@ class Monitor(abc.ABC):
         extra = state["extra"] if owned else copy.deepcopy(state["extra"])
         for name, value in extra.items():
             setattr(self, name, value)
+        for name, words in state["word_maps"].items():
+            getattr(self, name).restore_state(words)
 
     # ---------------------------------------------------------------- helpers
 

@@ -24,7 +24,7 @@ from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.metadata.shadow import ShadowMemory
+from repro.metadata.shadow import ShadowMemory, words_present
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import MEMLEAK_COSTS, HandlerCosts
 from repro.monitors.reports import BugKind, BugReport
@@ -192,15 +192,15 @@ class MemLeak(Monitor):
         """Bulk equivalent of per-word ``_set_word_ctx(word, None)`` calls:
         release every tracked context in the range, drop the words from the
         context map, and clear the critical bytes."""
-        words = words_in_range(start, size)
-        pop = self._word_ctx.pop
-        release = self._release
-        for word in words:
-            old = pop(word, None)
-            if old is not None:
-                release(old)
-        self.critical_mem.bulk_set(start, size, NONPTR)
-        return len(words)
+        self._drop_contexts(start, size)
+        return self.critical_mem.bulk_set(start, size, NONPTR)
+
+    def _drop_contexts(self, start: int, size: int) -> None:
+        # Iterates the smaller of the range and the context map, so the
+        # static segment's startup MALLOC costs nothing per word.
+        word_ctx = self._word_ctx
+        for word in words_present(word_ctx, words_in_range(start, size)):
+            self._release(word_ctx.pop(word))
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._clear_word_range(update.frame_base, update.frame_size)
@@ -209,9 +209,7 @@ class MemLeak(Monitor):
         )
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
-        for word in words_in_range(update.frame_base, update.frame_size):
-            old = self._word_ctx.pop(word, None)
-            self._release(old)
+        self._drop_contexts(update.frame_base, update.frame_size)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.MALLOC:

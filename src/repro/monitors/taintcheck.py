@@ -21,7 +21,7 @@ from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.metadata.shadow import ShadowMemory
+from repro.metadata.shadow import ShadowMemory, words_present
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import TAINTCHECK_COSTS, HandlerCosts
 from repro.monitors.reports import BugKind, BugReport
@@ -176,13 +176,19 @@ class TaintCheck(Monitor):
 
     def _clear_range(self, start: int, size: int) -> int:
         # Bulk equivalent of per-word _set_word(word, False) calls.
+        self._untaint(start, size)
+        return self.critical_mem.bulk_set(start, size, UNTAINTED)
+
+    def _untaint(self, start: int, size: int) -> None:
+        # Iterates the smaller of the range and each map, so the static
+        # segment's startup MALLOC costs nothing per word.
         words = words_in_range(start, size)
-        self._tainted_words.difference_update(words)
-        pop = self._origins.pop
-        for word in words:
-            pop(word, None)
-        self.critical_mem.bulk_set(start, size, UNTAINTED)
-        return len(words)
+        self._tainted_words.difference_update(
+            words_present(self._tainted_words, words)
+        )
+        origins = self._origins
+        for word in words_present(origins, words):
+            del origins[word]
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._clear_range(update.frame_base, update.frame_size)
@@ -191,11 +197,7 @@ class TaintCheck(Monitor):
         )
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
-        words = words_in_range(update.frame_base, update.frame_size)
-        self._tainted_words.difference_update(words)
-        pop = self._origins.pop
-        for word in words:
-            pop(word, None)
+        self._untaint(update.frame_base, update.frame_size)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.TAINT_SOURCE:

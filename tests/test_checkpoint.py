@@ -5,6 +5,7 @@ the runner-cache aliasing regression for restored simulations."""
 import base64
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -27,7 +28,9 @@ from repro.checkpoint import (
     install_checkpoint_runtime,
     uninstall_checkpoint_runtime,
 )
+from repro.api.segments import build_simulation
 from repro.system.config import SystemConfig
+from repro.system.simulator import SIM_STATE_VERSION
 from repro.verify.oracle import result_digest
 
 TINY = ExperimentSettings(num_instructions=2000, seed=13)
@@ -102,6 +105,23 @@ class TestSnapshotDeterminism:
                 ckpt.close()
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize("monitor", ["addrcheck", "memcheck"])
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(fade_enabled=True, non_blocking=True)],
+        ids=["unaccelerated", "fade"],
+    )
+    def test_snapshot_stays_small(self, monitor, config):
+        # mcf's static segment is 197K words.  Stored as extents, it and
+        # everything warmup touched pickle to a few KB; shadowed word by
+        # word it was 2.6-3.6 MB.  A byte count, not a timing.
+        spec = RunSpec(
+            "mcf", monitor, config, ExperimentSettings(num_instructions=6000)
+        )
+        sim = build_simulation(spec, RunnerCache())
+        sim._run_warmup()
+        assert len(pickle.dumps(sim.snapshot(), protocol=5)) < 128 * 1024
+
     def test_snapshot_metadata_progress(self, store):
         _abort_after_first_checkpoint(store)
         (entry,) = store.entries()
@@ -166,11 +186,18 @@ class TestRestoreParity:
 
     def test_rejected_state_degrades_to_cold_recompute(self, store):
         # A blob that decodes fine but that the simulation itself refuses
-        # (here: a stale SIM_STATE_VERSION) is discarded and the run
-        # degrades to a cold recompute — never an error.
+        # (here: one stamped with the previous SIM_STATE_VERSION, i.e. an
+        # older capture layout) is discarded and the run degrades to a
+        # cold recompute — never an error, never a restore.
         _abort_after_first_checkpoint(store)
-        record = store.get(SPEC)
-        stale = dict(record["state"], version=-1)
+        state = store.get(SPEC)["state"]
+        mem = state["monitor"]["critical_mem"]
+        old_mem = dict(mem, bytes=dict(mem.pop("words")["explicit"]))
+        stale = dict(
+            state,
+            version=SIM_STATE_VERSION - 1,
+            monitor=dict(state["monitor"], critical_mem=old_mem),
+        )
         store.put(SPEC, stale)
         cold = result_digest(execute_spec(SPEC, RunnerCache()))
         resumed = execute_spec(

@@ -1,10 +1,13 @@
 """Tests for repro.metadata.shadow: shadow memory and registers."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.units import WORD_SIZE
+from repro.common.units import WORD_SIZE, words_in_range
 from repro.metadata import ShadowMemory, ShadowRegisters
+from repro.metadata.shadow import EXTENT_MIN_WORDS, WordMap
 
 
 class TestShadowMemory:
@@ -32,6 +35,24 @@ class TestShadowMemory:
         shadow.write(0x10, 0)
         assert len(shadow) == 0
         assert shadow.read(0x10) == 0
+        # A long fill is one extent; clearing a range that cuts it keeps
+        # only the two surviving pieces, with no per-word entries.
+        words = EXTENT_MIN_WORDS * 2
+        shadow.bulk_set(0x1000, words * WORD_SIZE, 3)
+        assert len(shadow) == words
+        shadow.write(0x1000 + 8 * WORD_SIZE, 0)
+        assert len(shadow) == words - 1
+        assert shadow.read(0x1000 + 8 * WORD_SIZE) == 0
+        cut = 0x1000 + 4 * WORD_SIZE
+        shadow.bulk_set(cut, 16 * WORD_SIZE, 0)
+        assert not shadow.words.explicit
+        assert [extent[2] for extent in shadow.words.extents] == [3, 3]
+        assert len(shadow) == words - 16
+        assert shadow.read(cut) == 0 and shadow.read(cut - WORD_SIZE) == 3
+        assert shadow.read(cut + 16 * WORD_SIZE) == 3
+        shadow.bulk_set(0x1000, words * WORD_SIZE, 0)
+        assert len(shadow) == 0
+        assert not shadow.words.explicit and not shadow.words.extents
 
     def test_rejects_out_of_range_values(self):
         shadow = ShadowMemory()
@@ -43,16 +64,28 @@ class TestShadowMemory:
     def test_bulk_set_equals_word_loop(self):
         bulk = ShadowMemory()
         loop = ShadowMemory()
-        start, length, value = 0x103, 37, 9
-        words = bulk.bulk_set(start, length, value)
-        count = 0
-        from repro.common.units import words_in_range
-
-        for word in words_in_range(start, length):
-            loop.write(word, value)
-            count += 1
-        assert words == count
-        assert bulk.snapshot() == loop.snapshot()
+        long = EXTENT_MIN_WORDS * WORD_SIZE * 3
+        # A short range, a long one (stored as an extent), then ranges that
+        # cut that extent: inside it, across its end, and back to default.
+        for start, length, value in (
+            (0x103, 37, 9),
+            (0x4000, long, 5),
+            (0x4000 + 0x203, 0x41, 7),
+            (0x4000 + long - 0x80, long, 6),
+            (0x4000 + 0x100, long // 2, 0),
+        ):
+            words = bulk.bulk_set(start, length, value)
+            count = 0
+            for word in words_in_range(start, length):
+                loop.write(word, value)
+                count += 1
+            assert words == count
+            assert bulk.snapshot() == loop.snapshot()
+            assert len(bulk) == len(loop)
+            assert sorted(bulk.items()) == sorted(loop.items())
+        assert bulk.words.extents
+        for word in range(0x4000 - 8, 0x4000 + 2 * long, 0x40):
+            assert bulk.read(word) == loop.read(word)
 
     def test_snapshot_is_a_copy(self):
         shadow = ShadowMemory()
@@ -80,6 +113,185 @@ class TestShadowMemory:
             model[ShadowMemory.word_address(address)] = value
         for word, value in model.items():
             assert shadow.read(word) == value
+
+
+class _ShadowModel:
+    """Per-word reference for :class:`ShadowMemory`: a plain dict plus the
+    generation counters, with every range operation done word by word."""
+
+    def __init__(self, default):
+        self.default = default
+        self.bytes = {}
+        self.generation = 0
+        self.bulk_epoch = 0
+        self.word_generations = {}
+
+    def read(self, address):
+        return self.bytes.get(ShadowMemory.word_address(address), self.default)
+
+    def write(self, address, value):
+        word = ShadowMemory.word_address(address)
+        if self.bytes.get(word, self.default) == value:
+            return False
+        self._put(word, value)
+        self.generation += 1
+        self.word_generations[word] = self.word_generations.get(word, 0) + 1
+        return True
+
+    def bulk_set(self, start, length, value):
+        words = words_in_range(start, length)
+        for word in words:
+            self._put(word, value)
+        if words:
+            self.generation += 1
+            self.bulk_epoch += 1
+        return len(words)
+
+    def clear(self, start, length):
+        words = words_in_range(start, length)
+        for word in words:
+            self.write(word, self.default)
+        return len(words)
+
+    def _put(self, word, value):
+        if value == self.default:
+            self.bytes.pop(word, None)
+        else:
+            self.bytes[word] = value
+
+    def state(self):
+        return (
+            dict(self.bytes), self.generation, self.bulk_epoch,
+            dict(self.word_generations),
+        )
+
+    def load(self, state):
+        bytes_, self.generation, self.bulk_epoch, generations = state
+        self.bytes = dict(bytes_)
+        self.word_generations = dict(generations)
+
+
+_EXTENT_BYTES = EXTENT_MIN_WORDS * WORD_SIZE
+_SPAN = 4 * _EXTENT_BYTES
+# Sampled anchors make overlapping, abutting, nested and extent-splitting
+# ranges common; the integer ranges add unaligned odd cases.
+_ADDRESSES = st.one_of(
+    st.sampled_from([0, 3, _EXTENT_BYTES // 2, _EXTENT_BYTES, 2 * _EXTENT_BYTES]),
+    st.integers(min_value=0, max_value=_SPAN),
+)
+_LENGTHS = st.one_of(
+    st.sampled_from(
+        [0, 1, WORD_SIZE, _EXTENT_BYTES - WORD_SIZE, _EXTENT_BYTES,
+         _EXTENT_BYTES // 2, 2 * _EXTENT_BYTES]
+    ),
+    st.integers(min_value=0, max_value=_SPAN),
+)
+_VALUES = st.sampled_from([0, 1, 2, 0x80])
+_SHADOW_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fill"), _ADDRESSES, _LENGTHS, _VALUES),
+        st.tuples(st.just("clear"), _ADDRESSES, _LENGTHS, st.just(0)),
+        st.tuples(st.just("write"), _ADDRESSES, st.just(0), _VALUES),
+        st.tuples(st.just("read"), _ADDRESSES, st.just(0), st.just(0)),
+        st.tuples(st.just("capture"), st.just(0), st.just(0), st.just(0)),
+        st.tuples(st.just("restore"), st.just(0), st.just(0), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+def _assert_matches(shadow, model):
+    assert shadow.snapshot() == model.bytes
+    assert sorted(shadow.items()) == sorted(model.bytes.items())
+    assert len(shadow) == len(model.bytes)
+    assert shadow.generation == model.generation
+    assert shadow.bulk_epoch == model.bulk_epoch
+    assert shadow.word_generations == model.word_generations
+
+
+class TestExtents:
+    """The extent-backed map against a plain per-word dict model."""
+
+    def test_first_touch_materialises_without_bumping(self):
+        shadow = ShadowMemory()
+        shadow.bulk_set(0x1000, _EXTENT_BYTES, 5)
+        counters = (shadow.generation, shadow.bulk_epoch)
+        assert not shadow.words.explicit and len(shadow.words.extents) == 1
+        assert shadow.read(0x1010) == 5
+        assert shadow.words.explicit == {0x1010: 5}
+        assert not shadow.write(0x1014, 5)
+        assert (shadow.generation, shadow.bulk_epoch) == counters
+        assert shadow.word_generations == {}
+        assert len(shadow) == EXTENT_MIN_WORDS
+
+    @given(st.sampled_from([0, 1]), _SHADOW_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_shadow_memory_matches_word_model(self, default, ops):
+        shadow = ShadowMemory(default=default)
+        model = _ShadowModel(default)
+        identities = (
+            shadow.words.explicit, shadow.words.extents, shadow.words.starts,
+            shadow.word_generations,
+        )
+        saved = None
+        for op, address, length, value in ops:
+            if op == "fill":
+                assert shadow.bulk_set(address, length, value) == model.bulk_set(
+                    address, length, value
+                )
+            elif op == "clear":
+                assert shadow.clear(address, length) == model.clear(
+                    address, length
+                )
+            elif op == "write":
+                assert shadow.write(address, value) == model.write(address, value)
+            elif op == "read":
+                # First-touch materialisation bumps no counter.
+                assert shadow.read(address) == model.read(address)
+                assert shadow.generation == model.generation
+            elif op == "capture":
+                saved = (pickle.dumps(shadow.capture_state()), model.state())
+            elif saved is not None:
+                shadow.restore_state(pickle.loads(saved[0]))
+                model.load(saved[1])
+                _assert_matches(shadow, model)
+            assert shadow.generation == model.generation
+            assert shadow.bulk_epoch == model.bulk_epoch
+        _assert_matches(shadow, model)
+        for address in range(0, _SPAN + 2 * _EXTENT_BYTES, 3 * WORD_SIZE):
+            assert shadow.read(address) == model.read(address)
+        # Restores mutate in place: the hoisted containers survive.
+        current = (
+            shadow.words.explicit, shadow.words.extents, shadow.words.starts,
+            shadow.word_generations,
+        )
+        assert all(a is b for a, b in zip(identities, current))
+
+    @given(_SHADOW_OPS)
+    @settings(max_examples=40, deadline=None)
+    def test_word_map_set_and_fill_match_dict(self, ops):
+        words = WordMap(default=0)
+        model = {}
+        saved = None
+        for op, address, length, value in ops:
+            word = ShadowMemory.word_address(address)
+            if op == "fill":
+                span = words_in_range(address, length)
+                words.fill(span, value)
+                model.update(dict.fromkeys(span, value))
+            elif op in ("write", "clear"):
+                assert words.set(word, value) == model.get(word, 0)
+                model[word] = value
+            elif op == "read":
+                assert words.get(word) == model.get(word, 0)
+            elif op == "capture":
+                saved = (words.capture_state(), dict(model))
+            elif saved is not None:
+                words.restore_state(saved[0])
+                model = dict(saved[1])
+        expected = {word: value for word, value in model.items() if value}
+        assert dict(words.items()) == expected
+        assert len(words) == len(expected)
 
 
 class TestShadowRegisters:
