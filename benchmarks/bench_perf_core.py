@@ -9,7 +9,8 @@ recorded per commit.
 
 Alongside the engine comparison the payload records the functional-work
 profile of a *cold* grid (packed-trace generation versus retire-schedule +
-delivery-plan building versus simulation, measured on a fresh runner) and
+delivery-plan building versus simulation, measured on a fresh runner, plus
+the generator's deterministic Python-calls-per-instruction counter) and
 the cold-versus-warm wall-clock of the same grid through a fresh
 content-addressed :class:`~repro.api.ResultStore` (the warm run serves
 every cell from disk and is checked bit-identical to the cold run).
@@ -75,7 +76,7 @@ from repro.cores.base import CoreType
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig
 from repro.system.simulator import MonitoringSimulation, fusion_stats
-from repro.workload import get_profile
+from repro.workload import TraceGenerator, get_profile
 
 BENCH_JSON = _ROOT / "BENCH_perf.json"
 
@@ -474,6 +475,28 @@ def _measure_segmented(settings: ExperimentSettings, rounds: int) -> dict:
     }
 
 
+def _generator_calls_per_instruction(settings: ExperimentSettings) -> float:
+    """Deterministic work counter of trace generation: Python-level calls
+    (``sys.setprofile`` "call" events) per generated instruction over the
+    fig9 benchmarks.  Host-independent, so CI can gate it exactly."""
+    names = sorted({spec.benchmark for spec in _fig9_specs("event", settings)})
+    generators = [TraceGenerator(get_profile(name), settings.seed) for name in names]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for generator in generators:
+            generator.generate(settings.num_instructions)
+    finally:
+        sys.setprofile(None)
+    return calls / (settings.num_instructions * len(names))
+
+
 def _measure_functional_split(settings: ExperimentSettings) -> dict:
     """Cold fig9-grid profile on a fresh runner: packed-trace generation,
     schedule + delivery-plan building, then simulation."""
@@ -499,6 +522,9 @@ def _measure_functional_split(settings: ExperimentSettings) -> dict:
         "simulation_seconds": simulation,
         "cold_total_seconds": total,
         "functional_fraction": (trace_gen + schedule_plan) / total,
+        "generator_py_calls_per_instruction": _generator_calls_per_instruction(
+            settings
+        ),
     }
 
 

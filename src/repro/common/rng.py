@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect
-from itertools import accumulate
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -44,6 +42,12 @@ class DeterministicRng:
     def __init__(self, root_seed: int, *labels: object) -> None:
         self.labels = tuple(labels)
         self._random = random.Random(derive_seed(root_seed, *labels))
+        #: The stream's bound draw primitives, exposed for hot loops that
+        #: inline the distributions below (the trace generator): ``random()``
+        #: in ``[0, 1)`` and ``getrandbits(k)``, the source of every integer
+        #: draw (see :func:`repro.workload.generator._randbelow`).
+        self.random: Callable[[], float] = self._random.random
+        self.getrandbits: Callable[[int], int] = self._random.getrandbits
 
     def child(self, *labels: object) -> "DeterministicRng":
         """Return an independent stream derived from this one."""
@@ -51,9 +55,6 @@ class DeterministicRng:
 
     def uniform(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
-
-    def random(self) -> float:
-        return self._random.random()
 
     def randint(self, low: int, high: int) -> int:
         """Return an integer in ``[low, high]`` inclusive."""
@@ -72,33 +73,6 @@ class DeterministicRng:
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         return self._random.choices(items, weights=weights, k=1)[0]
-
-    def weighted_chooser(
-        self, items: Sequence[T], weights: Sequence[float]
-    ) -> Callable[[], T]:
-        """A zero-argument sampler equivalent to :meth:`weighted_choice`.
-
-        Precomputes the cumulative weights once and replays
-        ``random.choices``'s exact draw arithmetic (one ``random()`` call,
-        the same bisection), so a chooser consumes the stream identically to
-        repeated ``weighted_choice`` calls — but without rebuilding the
-        cumulative table per draw.  Used on the trace generator's per-item
-        opcode pick.
-        """
-        population = list(items)
-        cum_weights = list(accumulate(weights))
-        if len(cum_weights) != len(population):
-            raise ValueError("weights and items must have the same length")
-        total = cum_weights[-1] + 0.0
-        if total <= 0.0:
-            raise ValueError("total of weights must be greater than zero")
-        hi = len(population) - 1
-        rand = self._random.random
-
-        def choose() -> T:
-            return population[bisect(cum_weights, rand() * total, 0, hi)]
-
-        return choose
 
     def geometric(self, mean: float) -> int:
         """Sample a geometric-like positive integer with the given mean.

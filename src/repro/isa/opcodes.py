@@ -74,6 +74,13 @@ def event_id_for(op_class: OpClass, num_sources: int) -> int:
     return _EVENT_IDS[(op_class, num_sources)]
 
 
+#: Event IDs the monitors' per-event handlers dispatch on, computed once at
+#: import rather than looked up (an enum-keyed dict probe) on every event.
+LOAD_EVENT_ID = event_id_for(OpClass.LOAD, 1)
+STORE_EVENT_ID = event_id_for(OpClass.STORE, 1)
+BRANCH_EVENT_ID = event_id_for(OpClass.BRANCH, 1)
+
+
 def known_event_ids() -> dict:
     """Expose the full shape-to-ID map (used by the table programmer)."""
     return dict(_EVENT_IDS)

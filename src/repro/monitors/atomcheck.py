@@ -31,7 +31,7 @@ from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import STORE_EVENT_ID, OpClass, event_id_for
 from repro.metadata.shadow import ShadowMemory, words_present
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import ATOMCHECK_COSTS, HandlerCosts
@@ -140,7 +140,7 @@ class AtomCheck(Monitor):
         assert address is not None, "AtomCheck only monitors memory events"
         word = ShadowMemory.word_address(address)
         access_type = (
-            WRITE if event.event_id == event_id_for(OpClass.STORE, 1) else READ
+            WRITE if event.event_id == STORE_EVENT_ID else READ
         )
         thread = self.current_thread
         last = self._last_access.get(word)

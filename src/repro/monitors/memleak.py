@@ -23,7 +23,12 @@ from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackUpdate
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import (
+    LOAD_EVENT_ID,
+    STORE_EVENT_ID,
+    OpClass,
+    event_id_for,
+)
 from repro.metadata.shadow import ShadowMemory, words_present
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import MEMLEAK_COSTS, HandlerCosts
@@ -158,11 +163,11 @@ class MemLeak(Monitor):
         self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
     ) -> HandlerResult:
         event_id = event.event_id
-        if event_id == event_id_for(OpClass.LOAD, 1):
+        if event_id == LOAD_EVENT_ID:
             source_ctx = self._word_context(event.app_addr)
             changed = self._set_reg_ctx(event.dest_reg, source_ctx)
             return self._propagation_result(source_ctx, changed)
-        if event_id == event_id_for(OpClass.STORE, 1):
+        if event_id == STORE_EVENT_ID:
             source_ctx = self._reg_context(event.src1_reg)
             changed = self._set_word_ctx(event.app_addr, source_ctx)
             return self._propagation_result(source_ctx, changed)

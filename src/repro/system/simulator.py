@@ -47,7 +47,7 @@ from repro.fade.accelerator import Fade, FadeConfig, FadeStats
 from repro.fade.pipeline import HandlerKind, force_inline_filtering
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import OpClass, event_id_for, known_event_ids
 from repro.monitors.base import HandlerClass, Monitor
 from repro.queues.bounded import BoundedQueue
 from repro.system.config import SystemConfig
@@ -57,6 +57,7 @@ from repro.workload.packed import (
     DEST_SHIFT,
     KIND_INSTRUCTION,
     OP_CLASSES,
+    OP_INDEX,
     OPERAND_MEMORY,
     OPERAND_REGISTER,
     SRC2_SHIFT,
@@ -111,7 +112,9 @@ class _WorkItem:
     """One unit of monitor-software work.
 
     Slotted and with its event sequence precomputed: one is allocated per
-    monitored event, on the simulator's hottest path.
+    monitored event, on the simulator's hottest path.  Plan items are
+    shared by every plan over the same packed trace, so none may be
+    assigned to after it is built.
     """
 
     __slots__ = ("kind", "payload", "handler_kind", "sequence")
@@ -165,6 +168,18 @@ class DeliveryPlan:
         self.vector_columns = None
 
 
+#: Per packed op code: does it carry a stack update (CALL/RETURN)?
+_STACK_OP_CODES = tuple(op.is_stack_op for op in OP_CLASSES)
+
+#: Event ID per packed op code and source count (None: not a modelled
+#: shape, which ``event_id_for`` rejects).
+_EVENT_IDS = tuple(
+    tuple(known_event_ids().get((op, sources)) for sources in range(3))
+    for op in OP_CLASSES
+)
+_CALL_CODE = OP_INDEX[OpClass.CALL]
+
+
 def build_plan(trace: Trace, monitor: Monitor) -> DeliveryPlan:
     """Classify every trace item into its delivery plan entry (hot: one
     pass per (trace, monitor), so the per-item lookups are hoisted).
@@ -209,10 +224,11 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
     packed columns; high-level payloads come from the trace's lazy item view
     (shared with any other consumer of the same trace).
 
-    Event payloads are monitor-independent (the monitor only decides *which*
-    items produce one), so they are memoised on the trace: the five paper
-    monitors mostly want overlapping op classes, and grid cells sharing a
-    benchmark construct each event once.
+    Work items are monitor-independent (the monitor only decides *which*
+    items it receives) and never mutated once built, so they are memoised
+    on the trace (:attr:`PackedTrace.plan_items`): the five paper monitors
+    mostly want overlapping op classes, and a second monitor's plan over
+    the same trace only classifies and appends.
     """
     # monitor.wants depends only on the op class for the stock predicate, so
     # it collapses to one boolean per packed op code.
@@ -221,16 +237,8 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
          op in monitor.monitored_op_classes)
         for op in OP_CLASSES
     )
-    stack_op_for = {
-        op: (StackOp.CALL if op is OpClass.CALL else StackOp.RETURN)
-        for op in OP_CLASSES
-        if op.is_stack_op
-    }
     items: List[Optional[_WorkItem]] = []
     append = items.append
-    instruction_event = _ItemKind.INSTRUCTION_EVENT
-    stack_update_kind = _ItemKind.STACK_UPDATE
-    high_level_kind = _ItemKind.HIGH_LEVEL
     monitored = 0
     stack_events = 0
     high_level = 0
@@ -239,89 +247,97 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
         trace.column_lists()
     )
     view = trace.items
-    register_kind = OPERAND_REGISTER
-    memory_kind = OPERAND_MEMORY
     memory_below = monitor.wants_memory_below
-    full_handler = HandlerKind.FULL
-    new_item = _WorkItem.__new__
-
-    # Monitor-independent payload memo, one slot per trace item.
-    events = getattr(trace, "_plan_event_cache", None)
-    if events is None:
-        events = [None] * len(trace)
-        trace._plan_event_cache = events
+    memo = trace.plan_items
+    if memo is None:
+        memo = trace.plan_items = [None] * len(trace)
 
     for index in range(len(trace)):
         if kind_column[index] != KIND_INSTRUCTION:
             high_level += 1
-            append(_WorkItem(high_level_kind, view[index]))
+            item = memo[index]
+            if item is None:
+                item = memo[index] = _WorkItem(_ItemKind.HIGH_LEVEL, view[index])
+            append(item)
             continue
         op_code = op_column[index]
         if not wanted[op_code]:
             append(None)
             continue
         flags = flags_column[index]
-        src1_kind = flags & 3
-        src2_kind = (flags >> SRC2_SHIFT) & 3
-        dest_kind = (flags >> DEST_SHIFT) & 3
-        op_class = OP_CLASSES[op_code]
-        if op_class.is_stack_op:
+        if _STACK_OP_CODES[op_code]:
             stack_events += 1
-            event = events[index]
-            if event is None:
-                num_sources = (1 if src1_kind else 0) + (1 if src2_kind else 0)
-                event = MonitoredEvent(
-                    event_id=event_id_for(op_class, num_sources),
-                    app_pc=f0[index],
-                    stack_update=StackUpdate(
-                        op=stack_op_for[op_class],
-                        frame_base=f4[index],
-                        frame_size=f5[index],
-                    ),
-                    sequence=index,
-                )
-                events[index] = event
-            item = new_item(_WorkItem)
-            item.kind = stack_update_kind
-            item.payload = event
-            item.handler_kind = full_handler
-            item.sequence = index
-            append(item)
-            continue
-        if src1_kind == memory_kind:
+        else:
+            if memory_below is not None:
+                if flags & 3 == OPERAND_MEMORY:
+                    app_addr = f1[index]
+                elif (flags >> SRC2_SHIFT) & 3 == OPERAND_MEMORY:
+                    app_addr = f2[index]
+                elif (flags >> DEST_SHIFT) & 3 == OPERAND_MEMORY:
+                    app_addr = f3[index]
+                else:
+                    app_addr = None
+                if app_addr is None or app_addr >= memory_below:
+                    append(None)
+                    continue
+            monitored += 1
+        item = memo[index]
+        if item is None:
+            item = memo[index] = _packed_work_item(
+                index, op_code, flags, f0, f1, f2, f3, f4, f5
+            )
+        append(item)
+    return DeliveryPlan(items, monitored, stack_events, high_level)
+
+
+def _packed_work_item(
+    index: int, op_code: int, flags: int, f0, f1, f2, f3, f4, f5
+) -> _WorkItem:
+    """The work item for instruction ``index`` of a packed trace, carrying
+    the payload ``MonitoredEvent.from_instruction`` would build."""
+    src1_kind = flags & 3
+    src2_kind = (flags >> SRC2_SHIFT) & 3
+    dest_kind = (flags >> DEST_SHIFT) & 3
+    num_sources = (1 if src1_kind else 0) + (1 if src2_kind else 0)
+    event_id = _EVENT_IDS[op_code][num_sources]
+    if event_id is None:
+        event_id_for(OP_CLASSES[op_code], num_sources)  # Raises KeyError.
+    item = _WorkItem.__new__(_WorkItem)
+    if _STACK_OP_CODES[op_code]:
+        item.kind = _ItemKind.STACK_UPDATE
+        item.payload = MonitoredEvent(
+            event_id,
+            f0[index],
+            stack_update=StackUpdate(
+                StackOp.CALL if op_code == _CALL_CODE else StackOp.RETURN,
+                f4[index],
+                f5[index],
+            ),
+            sequence=index,
+        )
+    else:
+        if src1_kind == OPERAND_MEMORY:
             app_addr = f1[index]
-        elif src2_kind == memory_kind:
+        elif src2_kind == OPERAND_MEMORY:
             app_addr = f2[index]
-        elif dest_kind == memory_kind:
+        elif dest_kind == OPERAND_MEMORY:
             app_addr = f3[index]
         else:
             app_addr = None
-        if memory_below is not None and (
-            app_addr is None or app_addr >= memory_below
-        ):
-            append(None)
-            continue
-        monitored += 1
-        event = events[index]
-        if event is None:
-            num_sources = (1 if src1_kind else 0) + (1 if src2_kind else 0)
-            event = MonitoredEvent(
-                event_id=event_id_for(op_class, num_sources),
-                app_pc=f0[index],
-                app_addr=app_addr,
-                src1_reg=f1[index] if src1_kind == register_kind else None,
-                src2_reg=f2[index] if src2_kind == register_kind else None,
-                dest_reg=f3[index] if dest_kind == register_kind else None,
-                sequence=index,
-            )
-            events[index] = event
-        item = new_item(_WorkItem)
-        item.kind = instruction_event
-        item.payload = event
-        item.handler_kind = full_handler
-        item.sequence = index
-        append(item)
-    return DeliveryPlan(items, monitored, stack_events, high_level)
+        item.kind = _ItemKind.INSTRUCTION_EVENT
+        item.payload = MonitoredEvent(
+            event_id,
+            f0[index],
+            app_addr,
+            f1[index] if src1_kind == OPERAND_REGISTER else None,
+            f2[index] if src2_kind == OPERAND_REGISTER else None,
+            f3[index] if dest_kind == OPERAND_REGISTER else None,
+            None,
+            index,
+        )
+    item.handler_kind = HandlerKind.FULL
+    item.sequence = index
+    return item
 
 
 class MonitoringSimulation:

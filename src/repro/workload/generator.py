@@ -18,28 +18,38 @@ columns — the hot emit path appends machine integers, never constructs
 per-item ``Instruction``/``HighLevelEvent`` objects.  The packed trace's lazy
 item view materialises identical objects on demand, so every consumer sees
 the same trace an object emitter would have produced.
+
+Emission is one straight-line loop (:meth:`TraceGenerator.generate`) whose
+inlined draws consume the RNG stream exactly as the ``DeterministicRng``
+wrappers would, so traces are byte-stable across rewrites of the loop
+(pinned by ``tests/test_trace_pin.py``; see DESIGN.md §6).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from itertools import accumulate
+from typing import Callable, Deque, Dict, List, Set
 
 from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE
 from repro.isa.opcodes import OpClass
 from repro.workload.heap import HeapModel
 from repro.workload.packed import (
+    DEPENDS_BIT,
+    DEST_SHIFT,
     HL_INDEX,
+    KIND_INSTRUCTION,
     OP_INDEX,
     OPERAND_MEMORY,
-    OPERAND_NONE,
     OPERAND_REGISTER,
+    SRC2_SHIFT,
     PackedTrace,
     PackedTraceBuilder,
 )
 from repro.workload.profile import BenchmarkProfile
-from repro.workload.stack import CallStackModel
+from repro.workload.stack import CallStackModel, Frame
 from repro.workload.trace import HighLevelKind
 
 #: Base of the statically allocated (global/data) segment.
@@ -86,9 +96,69 @@ _HL_TAINT_SOURCE = HL_INDEX[HighLevelKind.TAINT_SOURCE]
 _HL_THREAD_SWITCH = HL_INDEX[HighLevelKind.THREAD_SWITCH]
 _HL_PROGRAM_EXIT = HL_INDEX[HighLevelKind.PROGRAM_EXIT]
 
-_NONE = OPERAND_NONE
+# ``flags`` column values (operand kinds) of each emitted instruction shape.
 _REG = OPERAND_REGISTER
 _MEM = OPERAND_MEMORY
+_FLAGS_LOAD = _MEM | (_REG << DEST_SHIFT)
+_FLAGS_STORE = _REG | (_MEM << DEST_SHIFT)
+_FLAGS_ALU1 = _REG | (_REG << DEST_SHIFT)
+_FLAGS_ALU2 = _FLAGS_ALU1 | (_REG << SRC2_SHIFT)
+_FLAGS_MOVE = _FLAGS_ALU1
+_FLAGS_FP1 = _REG
+_FLAGS_FP2 = _REG | (_REG << SRC2_SHIFT)
+_FLAGS_BRANCH = _REG
+
+# Op pick codes: the index ``bisect`` returns into the cumulative op-mix
+# weights (so their order fixes the stream mapping), then the stack ops.
+(
+    _PICK_LOAD,
+    _PICK_STORE,
+    _PICK_ALU1,
+    _PICK_ALU2,
+    _PICK_MOVE,
+    _PICK_FP,
+    _PICK_BRANCH,
+    _PICK_NOP,
+    _PICK_CALL,
+    _PICK_RETURN,
+) = range(10)
+
+# Fixed-width integer draws, inlined with precomputed bit lengths:
+# any register randint(1, 31), pointer destination randint(1, 8), data
+# destination randint(9, 31), PC jump randint(0, 1 << 16), and the hot-set
+# cursor step randint(-24, 24).
+_ANY_REG_N = NUM_REGISTERS - 1
+_ANY_REG_BITS = _ANY_REG_N.bit_length()
+_POINTER_REG_BITS = POINTER_REG_MAX.bit_length()
+_DATA_REG_N = NUM_REGISTERS - 1 - POINTER_REG_MAX
+_DATA_REG_BITS = _DATA_REG_N.bit_length()
+_PC_JUMP_N = (1 << 16) + 1
+_PC_JUMP_BITS = _PC_JUMP_N.bit_length()
+_HOT_STEP = 24
+_HOT_STEP_N = 2 * _HOT_STEP + 1
+_HOT_STEP_BITS = _HOT_STEP_N.bit_length()
+
+#: Attempts at a clean register / a live biased word before falling back.
+_CLEAN_TRIES = range(8)
+_LIVE_TRIES = range(6)
+
+
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform integer in ``[0, n)``, drawn exactly as
+    ``random.Random._randbelow`` draws it: ``k = n.bit_length()`` bits,
+    redrawn while the value is ``>= n``.
+
+    ``randint(a, b)`` is ``a + _randbelow(getrandbits, b - a + 1)`` and
+    ``choice(seq)`` is ``seq[_randbelow(getrandbits, len(seq))]``, draw for
+    draw; the emit loop inlines the same rule for its fixed widths.
+    """
+    if n <= 0:
+        raise IndexError("cannot draw from an empty range")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class TraceGenerator:
@@ -98,16 +168,12 @@ class TraceGenerator:
         self.profile = profile
         self.seed = seed
         self._rng = DeterministicRng(seed, profile.name, "trace")
-        # Hoisted stream methods: the stochastic step makes several draws per
-        # emitted item, so the attribute chains are bound once.
-        self._chance = self._rng.chance
-        self._randint = self._rng.randint
-        self._choice = self._rng.choice
-        self._random = self._rng.random
         self._heap = HeapModel(self._rng.child("heap"))
         self._stack = CallStackModel(self._rng.child("stack"), profile.max_call_depth)
 
-        # Ground-truth metadata used only to bias operand selection.
+        # Ground-truth metadata used only to bias operand selection.  The
+        # emit loop binds these containers to locals, so every update
+        # (including lazy-deletion compaction) happens in place.
         self._pointer_regs: Set[int] = set()
         self._tainted_regs: Set[int] = set()
         self._pointer_words: List[int] = []  # list for O(1) random choice
@@ -122,632 +188,703 @@ class TraceGenerator:
         self._hot_words: List[int] = [
             GLOBAL_BASE + index * WORD_SIZE for index in range(profile.hot_set_words)
         ]
-        self._stream_start = GLOBAL_BASE + profile.hot_set_words * WORD_SIZE
-        self._stream_end = self._stream_start + STREAM_REGION_BYTES
+        stream_start = GLOBAL_BASE + profile.hot_set_words * WORD_SIZE
         # One stream cursor per thread, each walking its own slice, so
         # streaming never generates cross-thread accesses.
         threads = max(1, profile.num_threads)
         slice_bytes = (STREAM_REGION_BYTES // threads) & ~(WORD_SIZE - 1)
         self._stream_slices = [
             (
-                self._stream_start + thread * slice_bytes,
-                self._stream_start + (thread + 1) * slice_bytes,
+                stream_start + thread * slice_bytes,
+                stream_start + (thread + 1) * slice_bytes,
             )
             for thread in range(threads)
         ]
         self._stream_cursors = [start for start, _ in self._stream_slices]
-        self._hot_cursor = 0
-        self._fresh_cursor = FRESH_BASE
         self._shared_word_list: List[int] = [
             SHARED_BASE + index * WORD_SIZE for index in range(profile.shared_words)
         ]
 
         self._pending_init: Deque[int] = deque()
-        self._in_init_burst = False
-        self._pc = CODE_BASE
         self._thread = 0
-        self._until_switch = profile.thread_switch_period
-
         self._builder = PackedTraceBuilder()
-        self._instruction_count = 0
-        # Hoisted hot-path bindings: one of these runs per generated item.
-        self._add_insn = self._builder.add_instruction
-        self._add_hl = self._builder.add_high_level
-        self._parallel = profile.parallel
-        # Precomputed opcode sampler: one random() draw per pick, identical
-        # stream consumption to rng.weighted_choice (see weighted_chooser).
-        self._pick_op = self._rng.weighted_chooser(
-            (
-                OpClass.LOAD,
-                OpClass.STORE,
-                "alu1",
-                "alu2",
-                OpClass.MOVE,
-                OpClass.FP,
-                OpClass.BRANCH,
-                OpClass.NOP,
-            ),
-            (
-                profile.load_weight,
-                profile.store_weight,
-                profile.alu1_weight,
-                profile.alu2_weight,
-                profile.move_weight,
-                profile.fp_weight,
-                profile.branch_weight,
-                profile.nop_weight,
-            ),
-        )
 
     # ------------------------------------------------------------------ API
 
     def generate(self, num_instructions: int) -> PackedTrace:
-        """Produce a trace with exactly ``num_instructions`` instructions."""
-        self._emit_startup()
-        while self._instruction_count < num_instructions:
-            self._step()
-        self._add_hl(_HL_PROGRAM_EXIT, 0, 0, 0, self._thread, False)
-        return self._builder.build(name=self.profile.name, seed=self.seed)
+        """Produce a trace with exactly ``num_instructions`` instructions.
 
-    # ------------------------------------------------------------- internals
+        One straight-line loop over locals: the top-level rate draws, the
+        op pick, every regular-instruction emitter with its operand and
+        address picks, the PC and depends draws and the column appends all
+        run inline.  Only the rare structural events — malloc/free,
+        call/return frames, buffer taint sources — are methods.
 
-    def _emit_instruction(
-        self,
-        pc: int,
-        op_index: int,
-        src1_kind: int,
-        src1_value: int,
-        src2_kind: int,
-        src2_value: int,
-        dest_kind: int,
-        dest_value: int,
-        depends: bool,
-        frame_base: int = 0,
-        frame_size: int = 0,
-    ) -> None:
-        self._add_insn(
-            pc,
-            op_index,
-            src1_kind,
-            src1_value,
-            src2_kind,
-            src2_value,
-            dest_kind,
-            dest_value,
-            self._thread,
-            depends,
-            frame_base,
-            frame_size,
-        )
-        self._instruction_count += 1
-        if self._parallel:
-            self._until_switch -= 1
-            if self._until_switch <= 0:
-                self._switch_thread()
-
-    def _switch_thread(self) -> None:
-        self._thread = (self._thread + 1) % self.profile.num_threads
-        self._until_switch = self.profile.thread_switch_period
-        self._add_hl(_HL_THREAD_SWITCH, 0, 0, 0, self._thread, False)
-
-    def _next_pc(self) -> int:
-        self._pc += 4
-        if self._chance(0.05):  # Taken branches/jumps scatter PCs.
-            self._pc = CODE_BASE + self._randint(0, 1 << 16) * 4
-        return self._pc
-
-    def _emit_startup(self) -> None:
-        """Register the global segment and push the main frame.
-
-        The globals MALLOC tells monitors the static data segment is
-        allocated and initialised at program start; the initial CALL creates
-        the main stack frame.
+        The inlined draws consume the stream exactly as the
+        :class:`~repro.common.rng.DeterministicRng` wrappers they stand for:
+        ``chance(p)`` is ``random() < p`` and draws nothing when ``p <= 0``
+        or ``p >= 1``; ``randint``/``choice`` follow :func:`_randbelow`
+        (fixed widths inline with precomputed bit lengths); the op pick is
+        ``random.choices``'s one ``random()`` draw and bisection.
         """
-        global_size = (
-            self.profile.hot_set_words * WORD_SIZE + STREAM_REGION_BYTES
+        profile = self.profile
+        rng = self._rng
+        random = rng.random
+        getrandbits = rng.getrandbits
+        builder = self._builder
+        add_hl = builder.add_high_level
+        (
+            append_f0,
+            append_f1,
+            append_f2,
+            append_f3,
+            append_f4,
+            append_f5,
+            append_kind,
+            append_op,
+            append_flags,
+            append_thread,
+        ) = builder.column_appends()
+        heap = self._heap
+        frames = self._stack.frames
+        max_depth = self._stack.max_depth
+        pointer_regs = self._pointer_regs
+        tainted_regs = self._tainted_regs
+        pointer_words = self._pointer_words
+        pointer_word_set = self._pointer_word_set
+        tainted_words = self._tainted_words
+        tainted_word_set = self._tainted_word_set
+        initialized = self._initialized_words
+        frame_written = self._frame_written
+        pending = self._pending_init
+        hot_words = self._hot_words
+        hot_count = len(hot_words)
+        hot_bits = hot_count.bit_length()
+        stream_slices = self._stream_slices
+        stream_cursors = self._stream_cursors
+        shared_words = self._shared_word_list
+
+        parallel = profile.parallel
+        num_threads = profile.num_threads
+        switch_period = profile.thread_switch_period
+        # Non-shared data is thread-private: each thread owns a partition of
+        # the hot set, so private re-references stay same-thread (what
+        # AtomCheck's common case relies on).
+        partitions = (
+            [hot_words[thread::num_threads] for thread in range(num_threads)]
+            if parallel
+            else []
         )
-        self._add_hl(_HL_MALLOC, GLOBAL_BASE, global_size, 0, self._thread, True)
-        if self.profile.parallel:
-            self._add_hl(
+
+        burst_p = profile.init_burst_intensity
+        taint_source_p = profile.taint_source_rate
+        malloc_p = profile.malloc_rate
+        free_p = profile.malloc_rate * profile.free_fraction
+        call_p = profile.call_rate
+        dep_p = profile.dep_prob
+        pointer_load_p = profile.pointer_load_bias
+        taint_load_p = profile.taint_load_bias
+        pointer_store_p = profile.pointer_store_fraction
+        burst_pointer_store_p = min(1.0, pointer_store_p * _BURST_POINTER_BOOST)
+        pointer_alu_p = profile.pointer_alu_fraction
+        taint_alu_p = profile.taint_alu_fraction
+        shared_fraction = profile.shared_fraction
+        fresh_p = profile.fresh_region_rate
+        stack_p = profile.stack_access_fraction
+        locality_p = profile.locality
+        stream_p = profile.stream_fraction
+        page_p = profile.page_locality
+        # Op-mix cumulative weights, in _PICK_* order.
+        cum_weights = list(
+            accumulate(
+                (
+                    profile.load_weight,
+                    profile.store_weight,
+                    profile.alu1_weight,
+                    profile.alu2_weight,
+                    profile.move_weight,
+                    profile.fp_weight,
+                    profile.branch_weight,
+                    profile.nop_weight,
+                )
+            )
+        )
+        total_weight = cum_weights[-1] + 0.0
+
+        # Startup: the globals MALLOC tells monitors the static data segment
+        # is allocated and initialised at program start; the main frame's
+        # CALL is the first instruction.
+        thread = 0
+        add_hl(
+            _HL_MALLOC,
+            GLOBAL_BASE,
+            profile.hot_set_words * WORD_SIZE + STREAM_REGION_BYTES,
+            0,
+            thread,
+            True,
+        )
+        if parallel:
+            add_hl(
                 _HL_MALLOC,
                 SHARED_BASE,
-                self.profile.shared_words * WORD_SIZE,
+                profile.shared_words * WORD_SIZE,
                 0,
-                self._thread,
+                thread,
                 True,
             )
-        self._initialized_words.update(self._hot_words)
-        self._initialized_words.update(self._shared_word_list)
-        self._do_call()
+        initialized.update(hot_words)
+        initialized.update(shared_words)
 
-    # --- stochastic step ----------------------------------------------------
-
-    def _step(self) -> None:
-        profile = self.profile
-        # Pending allocation-init burst takes priority: it models the store
-        # burst that immediately follows a malloc.
-        if self._pending_init and self._chance(profile.init_burst_intensity):
-            self._emit_init_store(self._pending_init.popleft())
-            return
-        self._in_init_burst = False
-
-        if self._chance(profile.taint_source_rate):
-            self._do_buffer_taint_source()
-            return
-        if self._chance(profile.malloc_rate):
-            self._do_malloc()
-            return
-        if self._chance(profile.malloc_rate * profile.free_fraction):
-            self._do_free()
-            return
-        if self._chance(profile.call_rate):
-            # Keep depth roughly balanced around a slowly wandering level.
-            if self._stack.can_return and (
-                not self._stack.can_call or self._chance(0.5)
-            ):
-                self._do_return()
+        pc = CODE_BASE
+        count = 0
+        until_switch = switch_period
+        hot_cursor = 0
+        fresh_cursor = FRESH_BASE
+        frame_base = frame_size = 0
+        startup = True
+        while startup or count < num_instructions:
+            # --- pick the next item ---------------------------------------
+            if startup:
+                startup = False
+                frame = self._push_frame()
+                op = _PICK_CALL
+            elif pending and burst_p > 0.0 and (burst_p >= 1.0 or random() < burst_p):
+                # A pending allocation-init burst takes priority: it models
+                # the store burst that immediately follows a malloc.
+                address = pending.popleft()
+                burst = True
+                op = _PICK_STORE
             else:
-                self._do_call()
-            return
-        self._emit_regular_instruction()
+                burst = False
+                if taint_source_p > 0.0 and (
+                    taint_source_p >= 1.0 or random() < taint_source_p
+                ):
+                    self._do_buffer_taint_source()
+                    continue
+                if malloc_p > 0.0 and (malloc_p >= 1.0 or random() < malloc_p):
+                    self._do_malloc()
+                    continue
+                if free_p > 0.0 and (free_p >= 1.0 or random() < free_p):
+                    self._do_free()
+                    continue
+                if call_p > 0.0 and (call_p >= 1.0 or random() < call_p):
+                    # Keep depth roughly balanced around a slowly wandering
+                    # level.
+                    depth = len(frames)
+                    if depth and (depth >= max_depth or random() < 0.5):
+                        frame = self._pop_frame()
+                        op = _PICK_RETURN
+                    else:
+                        frame = self._push_frame()
+                        op = _PICK_CALL
+                else:
+                    op = bisect(cum_weights, random() * total_weight, 0, 7)
 
-    def _emit_regular_instruction(self) -> None:
-        op_class = self._pick_op()
-        if op_class is OpClass.LOAD:
-            self._emit_load()
-        elif op_class is OpClass.STORE:
-            self._emit_store()
-        elif op_class == "alu1":
-            self._emit_alu(num_sources=1)
-        elif op_class == "alu2":
-            self._emit_alu(num_sources=2)
-        elif op_class is OpClass.MOVE:
-            self._emit_move()
-        elif op_class is OpClass.FP:
-            self._emit_fp()
-        elif op_class is OpClass.BRANCH:
-            self._emit_branch()
-        else:
-            self._emit_nop()
+            # --- operands (every draw before the PC draw) -------------------
+            if op <= _PICK_STORE:
+                if op == _PICK_STORE:
+                    p = burst_pointer_store_p if burst else pointer_store_p
+                    src = 0
+                    if p > 0.0 and (p >= 1.0 or random() < p) and pointer_regs:
+                        regs = sorted(pointer_regs)
+                        src = regs[_randbelow(getrandbits, len(regs))]
+                    if (
+                        not src
+                        and taint_alu_p > 0.0
+                        and (taint_alu_p >= 1.0 or random() < taint_alu_p)
+                        and tainted_regs
+                    ):
+                        regs = sorted(tainted_regs)
+                        src = regs[_randbelow(getrandbits, len(regs))]
+                    if not src:
+                        # Undirected picks draw clean registers so pointer and
+                        # taint densities stay under the profile's control.
+                        for _ in _CLEAN_TRIES:
+                            r = getrandbits(_ANY_REG_BITS)
+                            while r >= _ANY_REG_N:
+                                r = getrandbits(_ANY_REG_BITS)
+                            src = r + 1
+                            if src not in pointer_regs and src not in tainted_regs:
+                                break
+                        else:
+                            r = getrandbits(_ANY_REG_BITS)
+                            while r >= _ANY_REG_N:
+                                r = getrandbits(_ANY_REG_BITS)
+                            src = r + 1
+                    if not burst:
+                        address = 0
+                    for_write = True
+                else:
+                    # Loads read an initialised, allocated word; the biased
+                    # picks verify against the live sets because the word
+                    # lists use lazy deletion.
+                    address = 0
+                    if (
+                        pointer_load_p > 0.0
+                        and pointer_words
+                        and (pointer_load_p >= 1.0 or random() < pointer_load_p)
+                    ):
+                        size = len(pointer_words)
+                        for _ in _LIVE_TRIES:
+                            word = pointer_words[_randbelow(getrandbits, size)]
+                            if word in pointer_word_set:
+                                address = word
+                                break
+                    if (
+                        not address
+                        and taint_load_p > 0.0
+                        and tainted_words
+                        and (taint_load_p >= 1.0 or random() < taint_load_p)
+                    ):
+                        size = len(tainted_words)
+                        for _ in _LIVE_TRIES:
+                            word = tainted_words[_randbelow(getrandbits, size)]
+                            if word in tainted_word_set:
+                                address = word
+                                break
+                    for_write = False
+                if not address:
+                    # Data address: shared segment, fresh region, stack
+                    # frame, hot set, stream, heap — in that order.
+                    sticky = None
+                    roll = random()
+                    if parallel and roll < shared_fraction:
+                        sticky = shared_words
+                    elif fresh_p > 0.0 and (fresh_p >= 1.0 or random() < fresh_p):
+                        fresh_cursor += WORD_SIZE
+                        initialized.add(fresh_cursor)
+                        address = fresh_cursor
+                    else:
+                        if (
+                            stack_p > 0.0
+                            and (stack_p >= 1.0 or random() < stack_p)
+                            and frames
+                        ):
+                            top = frames[-1]
+                            written = frame_written.setdefault(top.base, [])
+                            if for_write:
+                                word = top.base + WORD_SIZE * _randbelow(
+                                    getrandbits, top.size // WORD_SIZE
+                                )
+                                if word not in written:
+                                    written.append(word)
+                                address = word
+                            elif written:
+                                # Reading an unwritten frame would be an
+                                # uninitialised read: only written words.
+                                address = written[
+                                    _randbelow(getrandbits, len(written))
+                                ]
+                        if not address:
+                            if locality_p > 0.0 and (
+                                locality_p >= 1.0 or random() < locality_p
+                            ):
+                                if parallel:
+                                    sticky = partitions[thread]
+                            elif stream_p > 0.0 and (
+                                stream_p >= 1.0 or random() < stream_p
+                            ):
+                                start, end = stream_slices[thread]
+                                address = stream_cursors[thread] + WORD_SIZE
+                                if address >= end:
+                                    address = start
+                                stream_cursors[thread] = address
+                                initialized.add(address)
+                            elif parallel:
+                                # Heap allocations are not partitioned by
+                                # owner, so random heap picks would look like
+                                # cross-thread sharing; parallel profiles
+                                # keep their sharing in the shared segment.
+                                sticky = partitions[thread]
+                            else:
+                                allocation = heap.random_live()
+                                if allocation is not None:
+                                    word = allocation.base + WORD_SIZE * _randbelow(
+                                        getrandbits, allocation.size // WORD_SIZE
+                                    )
+                                    # An uninitialised heap word is only
+                                    # written; a read falls back to the hot set.
+                                    if for_write or word in initialized:
+                                        address = word
+                    if sticky is not None:
+                        # Type-sticky pick: words at indices 3 (mod 4) are
+                        # write-mostly, the rest read-mostly, and 98% of
+                        # accesses respect the word's role — AtomCheck's
+                        # same-thread-same-type common case.
+                        size = len(sticky)
+                        if size < 4:
+                            address = sticky[_randbelow(getrandbits, size)]
+                        else:
+                            wants_write_word = for_write == (random() < 0.98)
+                            bits = size.bit_length()
+                            for _ in _LIVE_TRIES:
+                                r = getrandbits(bits)
+                                while r >= size:
+                                    r = getrandbits(bits)
+                                if (r % 4 == 3) == wants_write_word:
+                                    address = sticky[r]
+                                    break
+                            else:
+                                address = sticky[_randbelow(getrandbits, size)]
+                    elif not address:
+                        # Hot-set pick with page-level clustering: mostly
+                        # near the previous access, occasionally a jump.
+                        if page_p > 0.0 and (page_p >= 1.0 or random() < page_p):
+                            r = getrandbits(_HOT_STEP_BITS)
+                            while r >= _HOT_STEP_N:
+                                r = getrandbits(_HOT_STEP_BITS)
+                            hot_cursor = (hot_cursor + r - _HOT_STEP) % hot_count
+                        else:
+                            r = getrandbits(hot_bits)
+                            while r >= hot_count:
+                                r = getrandbits(hot_bits)
+                            hot_cursor = r
+                        address = hot_words[hot_cursor]
+                if op == _PICK_STORE:
+                    initialized.add(address)
+                    if src in pointer_regs:
+                        if address not in pointer_word_set:
+                            pointer_word_set.add(address)
+                            pointer_words.append(address)
+                    elif address in pointer_word_set:
+                        pointer_word_set.discard(address)
+                        # Lazy deletion keeps this O(1); stale entries are
+                        # re-checked on pick.
+                        if len(pointer_words) > 4 * len(pointer_word_set) + 64:
+                            pointer_words[:] = sorted(pointer_word_set)
+                    if src in tainted_regs:
+                        if address not in tainted_word_set:
+                            tainted_word_set.add(address)
+                            tainted_words.append(address)
+                    elif address in tainted_word_set:
+                        tainted_word_set.discard(address)
+                        if len(tainted_words) > 4 * len(tainted_word_set) + 64:
+                            tainted_words[:] = sorted(tainted_word_set)
+                    op_index = _OP_STORE
+                    value1 = src
+                    value3 = address
+                    flags = _FLAGS_STORE
+                else:
+                    if address in pointer_word_set:
+                        r = getrandbits(_POINTER_REG_BITS)
+                        while r >= POINTER_REG_MAX:
+                            r = getrandbits(_POINTER_REG_BITS)
+                        dest = r + 1
+                    else:
+                        r = getrandbits(_DATA_REG_BITS)
+                        while r >= _DATA_REG_N:
+                            r = getrandbits(_DATA_REG_BITS)
+                        dest = r + POINTER_REG_MAX + 1
+                    pointer_regs.discard(dest)
+                    tainted_regs.discard(dest)
+                    if address in pointer_word_set:
+                        pointer_regs.add(dest)
+                    if address in tainted_word_set:
+                        tainted_regs.add(dest)
+                    op_index = _OP_LOAD
+                    value1 = address
+                    value3 = dest
+                    flags = _FLAGS_LOAD
+                value2 = 0
+                depends = True
+            elif op <= _PICK_ALU2:
+                two = op == _PICK_ALU2
+                src = src2 = 0
+                if (
+                    pointer_alu_p > 0.0
+                    and (pointer_alu_p >= 1.0 or random() < pointer_alu_p)
+                    and pointer_regs
+                ):
+                    regs = sorted(pointer_regs)
+                    src = regs[_randbelow(getrandbits, len(regs))]
+                if (
+                    taint_alu_p > 0.0
+                    and (taint_alu_p >= 1.0 or random() < taint_alu_p)
+                    and tainted_regs
+                ):
+                    regs = sorted(tainted_regs)
+                    reg = regs[_randbelow(getrandbits, len(regs))]
+                    if not src:
+                        src = reg
+                    elif two:
+                        src2 = reg
+                while not src or (two and not src2):
+                    for _ in _CLEAN_TRIES:
+                        r = getrandbits(_ANY_REG_BITS)
+                        while r >= _ANY_REG_N:
+                            r = getrandbits(_ANY_REG_BITS)
+                        reg = r + 1
+                        if reg not in pointer_regs and reg not in tainted_regs:
+                            break
+                    else:
+                        r = getrandbits(_ANY_REG_BITS)
+                        while r >= _ANY_REG_N:
+                            r = getrandbits(_ANY_REG_BITS)
+                        reg = r + 1
+                    if not src:
+                        src = reg
+                    else:
+                        src2 = reg
+                # Register 0 is never tracked, so an absent src2 reads clean.
+                is_pointer = src in pointer_regs or src2 in pointer_regs
+                is_tainted = src in tainted_regs or src2 in tainted_regs
+                if is_pointer:
+                    r = getrandbits(_POINTER_REG_BITS)
+                    while r >= POINTER_REG_MAX:
+                        r = getrandbits(_POINTER_REG_BITS)
+                    dest = r + 1
+                else:
+                    r = getrandbits(_DATA_REG_BITS)
+                    while r >= _DATA_REG_N:
+                        r = getrandbits(_DATA_REG_BITS)
+                    dest = r + POINTER_REG_MAX + 1
+                pointer_regs.discard(dest)
+                tainted_regs.discard(dest)
+                if is_pointer:
+                    pointer_regs.add(dest)
+                if is_tainted:
+                    tainted_regs.add(dest)
+                op_index = _OP_ALU
+                value1 = src
+                value2 = src2
+                value3 = dest
+                flags = _FLAGS_ALU2 if two else _FLAGS_ALU1
+                depends = True
+            elif op == _PICK_BRANCH:
+                # Clean programs never branch through tainted or undefined
+                # data; buggy traces (workload.bugs) construct those flows.
+                for _ in _CLEAN_TRIES:
+                    r = getrandbits(_ANY_REG_BITS)
+                    while r >= _ANY_REG_N:
+                        r = getrandbits(_ANY_REG_BITS)
+                    src = r + 1
+                    if src not in pointer_regs and src not in tainted_regs:
+                        break
+                else:
+                    r = getrandbits(_ANY_REG_BITS)
+                    while r >= _ANY_REG_N:
+                        r = getrandbits(_ANY_REG_BITS)
+                    src = r + 1
+                op_index = _OP_BRANCH
+                value1 = src
+                value2 = value3 = 0
+                flags = _FLAGS_BRANCH
+                depends = True
+            elif op == _PICK_MOVE:
+                src = 0
+                if (
+                    pointer_alu_p > 0.0
+                    and (pointer_alu_p >= 1.0 or random() < pointer_alu_p)
+                    and pointer_regs
+                ):
+                    regs = sorted(pointer_regs)
+                    src = regs[_randbelow(getrandbits, len(regs))]
+                if not src:
+                    for _ in _CLEAN_TRIES:
+                        r = getrandbits(_ANY_REG_BITS)
+                        while r >= _ANY_REG_N:
+                            r = getrandbits(_ANY_REG_BITS)
+                        src = r + 1
+                        if src not in pointer_regs and src not in tainted_regs:
+                            break
+                    else:
+                        r = getrandbits(_ANY_REG_BITS)
+                        while r >= _ANY_REG_N:
+                            r = getrandbits(_ANY_REG_BITS)
+                        src = r + 1
+                if src in pointer_regs:
+                    r = getrandbits(_POINTER_REG_BITS)
+                    while r >= POINTER_REG_MAX:
+                        r = getrandbits(_POINTER_REG_BITS)
+                    dest = r + 1
+                else:
+                    r = getrandbits(_DATA_REG_BITS)
+                    while r >= _DATA_REG_N:
+                        r = getrandbits(_DATA_REG_BITS)
+                    dest = r + POINTER_REG_MAX + 1
+                # Propagation reads the sets after the destination is
+                # cleared, so a move onto itself clears the register.
+                pointer_regs.discard(dest)
+                tainted_regs.discard(dest)
+                if src in pointer_regs:
+                    pointer_regs.add(dest)
+                if src in tainted_regs:
+                    tainted_regs.add(dest)
+                op_index = _OP_MOVE
+                value1 = src
+                value2 = 0
+                value3 = dest
+                flags = _FLAGS_MOVE
+                depends = True
+            elif op == _PICK_FP:
+                # FP operands live in the (untracked) FP register file; FP
+                # results never carry pointers or taint, so no destination.
+                two = random() < 0.5
+                r = getrandbits(_ANY_REG_BITS)
+                while r >= _ANY_REG_N:
+                    r = getrandbits(_ANY_REG_BITS)
+                value1 = r + 1
+                if two:
+                    r = getrandbits(_ANY_REG_BITS)
+                    while r >= _ANY_REG_N:
+                        r = getrandbits(_ANY_REG_BITS)
+                    value2 = r + 1
+                    flags = _FLAGS_FP2
+                else:
+                    value2 = 0
+                    flags = _FLAGS_FP1
+                op_index = _OP_FP
+                value3 = 0
+                depends = True
+            else:
+                if op == _PICK_NOP:
+                    op_index = _OP_NOP
+                else:
+                    op_index = _OP_CALL if op == _PICK_CALL else _OP_RETURN
+                    frame_base = frame.base
+                    frame_size = frame.size
+                value1 = value2 = value3 = flags = 0
+                depends = False
 
-    # --- operand selection helpers -------------------------------------------
+            # --- PC, depends, columns ---------------------------------------
+            pc += 4
+            if random() < 0.05:  # Taken branches/jumps scatter PCs.
+                r = getrandbits(_PC_JUMP_BITS)
+                while r >= _PC_JUMP_N:
+                    r = getrandbits(_PC_JUMP_BITS)
+                pc = CODE_BASE + r * 4
+            if depends and dep_p > 0.0 and (dep_p >= 1.0 or random() < dep_p):
+                flags |= DEPENDS_BIT
+            append_f0(pc)
+            append_f1(value1)
+            append_f2(value2)
+            append_f3(value3)
+            append_f4(frame_base)
+            append_f5(frame_size)
+            append_kind(KIND_INSTRUCTION)
+            append_op(op_index)
+            append_flags(flags)
+            append_thread(thread)
+            if frame_base:
+                frame_base = frame_size = 0
+            count += 1
+            if parallel:
+                until_switch -= 1
+                if until_switch <= 0:
+                    thread = (thread + 1) % num_threads
+                    until_switch = switch_period
+                    self._thread = thread
+                    add_hl(_HL_THREAD_SWITCH, 0, 0, 0, thread, False)
+        add_hl(_HL_PROGRAM_EXIT, 0, 0, 0, thread, False)
+        return builder.build(name=profile.name, seed=self.seed)
 
-    def _pick_register(self) -> int:
-        return self._randint(1, NUM_REGISTERS - 1)
+    # --- structural events (rare, so kept as methods) ----------------------
 
-    def _pick_data_register(self) -> int:
-        """A destination register from the data partition (never r1..r8)."""
-        return self._randint(POINTER_REG_MAX + 1, NUM_REGISTERS - 1)
-
-    def _pick_pointer_dest_register(self) -> int:
-        """A destination register from the pointer partition (r1..r8)."""
-        return self._randint(1, POINTER_REG_MAX)
-
-    def _pick_clean_register(self) -> int:
-        """A register holding neither a pointer nor taint.
-
-        Undirected operand picks draw from clean registers so that pointer
-        and taint densities stay under the profile's control instead of
-        saturating the register file through accidental propagation.
-        """
-        for _ in range(8):
-            reg = self._randint(1, NUM_REGISTERS - 1)
-            if reg not in self._pointer_regs and reg not in self._tainted_regs:
-                return reg
-        return self._randint(1, NUM_REGISTERS - 1)
-
-    def _pick_pointer_register(self) -> Optional[int]:
-        if not self._pointer_regs:
-            return None
-        return self._choice(sorted(self._pointer_regs))
-
-    def _pick_tainted_register(self) -> Optional[int]:
-        if not self._tainted_regs:
-            return None
-        return self._choice(sorted(self._tainted_regs))
-
-    def _depends(self) -> bool:
-        return self._chance(self.profile.dep_prob)
-
-    def _choose_load_address(self) -> int:
-        """Pick a word to read; always an initialised, allocated word."""
+    def _push_frame(self) -> Frame:
+        """Open a CALL's frame (the emit loop emits the instruction)."""
         profile = self.profile
-        if profile.pointer_load_bias and self._pointer_words and self._chance(
-            profile.pointer_load_bias
-        ):
-            address = self._pick_live(self._pointer_words, self._pointer_word_set)
-            if address is not None:
-                return address
-        if profile.taint_load_bias and self._tainted_words and self._chance(
-            profile.taint_load_bias
-        ):
-            address = self._pick_live(self._tainted_words, self._tainted_word_set)
-            if address is not None:
-                return address
-        return self._choose_data_address(for_write=False)
-
-    def _pick_live(self, candidates: List[int], live: Set[int]) -> Optional[int]:
-        """Pick from ``candidates`` verifying against ``live`` (the candidate
-        list uses lazy deletion, so it may contain freed/overwritten words —
-        choosing one of those would synthesise a use-after-free)."""
-        for _ in range(6):
-            address = self._choice(candidates)
-            if address in live:
-                return address
-        return None
-
-    def _choose_data_address(self, for_write: bool) -> int:
-        profile = self.profile
-        roll = self._random()
-        if profile.parallel and roll < profile.shared_fraction:
-            return self._sticky_pick(self._shared_word_list, for_write)
-        if self._chance(profile.fresh_region_rate):
-            self._fresh_cursor += WORD_SIZE
-            self._initialized_words.add(self._fresh_cursor)
-            return self._fresh_cursor
-        if self._chance(profile.stack_access_fraction):
-            address = self._choose_stack_address(for_write)
-            if address is not None:
-                return address
-        if self._chance(profile.locality):
-            if profile.parallel:
-                # Non-shared data is thread-private: each thread owns a
-                # partition of the hot set, so private re-references stay
-                # same-thread (what AtomCheck's common case relies on).
-                partition = self._hot_words[self._thread :: profile.num_threads]
-                return self._sticky_pick(partition, for_write)
-            return self._clustered_hot_pick()
-        if self._chance(profile.stream_fraction):
-            thread = self._thread
-            start, end = self._stream_slices[thread]
-            cursor = self._stream_cursors[thread] + WORD_SIZE
-            if cursor >= end:
-                cursor = start
-            self._stream_cursors[thread] = cursor
-            self._initialized_words.add(cursor)
-            return cursor
-        if profile.parallel:
-            # Heap allocations are not partitioned by owner, so random heap
-            # picks would look like cross-thread sharing; parallel profiles
-            # keep their sharing in the dedicated shared segment instead.
-            partition = self._hot_words[self._thread :: profile.num_threads]
-            return self._sticky_pick(partition, for_write)
-        allocation = self._heap.random_live()
-        if allocation is None:
-            return self._clustered_hot_pick()
-        word = allocation.word_at(self._randint(0, max(0, allocation.num_words - 1)))
-        if not for_write and word not in self._initialized_words:
-            # Reading it would be an uninitialised read; fall back to hot set.
-            return self._clustered_hot_pick()
-        return word
-
-    def _clustered_hot_pick(self) -> int:
-        """Hot-set pick with page-level clustering.
-
-        Consecutive hot accesses mostly land near each other (within a few
-        cache blocks), occasionally jumping to a new region — the locality
-        real programs exhibit and the MD cache and M-TLB rely on.
-        """
-        count = len(self._hot_words)
-        if self._chance(self.profile.page_locality):
-            self._hot_cursor = (self._hot_cursor + self._randint(-24, 24)) % count
-        else:
-            self._hot_cursor = self._randint(0, count - 1)
-        return self._hot_words[self._hot_cursor]
-
-    def _sticky_pick(self, words: List[int], for_write: bool) -> int:
-        """Type-sticky word choice for parallel profiles.
-
-        Real parallel programs access a given word with a consistent pattern
-        (read-mostly data versus producer-updated data).  Words at indices
-        ``3 (mod 4)`` are write-mostly; the rest are read-mostly; 90% of
-        accesses respect the word's role.  This keeps AtomCheck's
-        same-thread-same-type common case dominant, as the paper observes.
-        """
-        count = len(words)
-        if count < 4:
-            return self._choice(words)
-        wants_write_word = for_write == self._chance(0.98)
-        for _ in range(6):
-            index = self._randint(0, count - 1)
-            if (index % 4 == 3) == wants_write_word:
-                return words[index]
-        return self._choice(words)
-
-    def _choose_stack_address(self, for_write: bool) -> Optional[int]:
-        frame = self._stack.current_frame()
-        if frame is None:
-            return None
-        written = self._frame_written.setdefault(frame.base, [])
-        if for_write or not written:
-            if not for_write:
-                return None  # Nothing written yet; a read would be uninit.
-            word = frame.word_at(self._randint(0, max(0, frame.num_words - 1)))
-            if word not in written:
-                written.append(word)
-            return word
-        return self._choice(written)
-
-    # --- ground-truth metadata updates ---------------------------------------
-
-    def _set_word_pointer(self, address: int, is_pointer: bool) -> None:
-        if is_pointer and address not in self._pointer_word_set:
-            self._pointer_word_set.add(address)
-            self._pointer_words.append(address)
-        elif not is_pointer and address in self._pointer_word_set:
-            self._pointer_word_set.discard(address)
-            # Lazy deletion keeps this O(1); stale entries are re-checked.
-            if len(self._pointer_words) > 4 * len(self._pointer_word_set) + 64:
-                self._pointer_words = sorted(self._pointer_word_set)
-
-    def _set_word_tainted(self, address: int, tainted: bool) -> None:
-        if tainted and address not in self._tainted_word_set:
-            self._tainted_word_set.add(address)
-            self._tainted_words.append(address)
-        elif not tainted and address in self._tainted_word_set:
-            self._tainted_word_set.discard(address)
-            if len(self._tainted_words) > 4 * len(self._tainted_word_set) + 64:
-                self._tainted_words = sorted(self._tainted_word_set)
-
-    def _word_is_pointer(self, address: int) -> bool:
-        return address in self._pointer_word_set
-
-    def _word_is_tainted(self, address: int) -> bool:
-        return address in self._tainted_word_set
-
-    # --- instruction emitters --------------------------------------------------
-
-    def _emit_load(self) -> None:
-        address = self._choose_load_address()
-        if self._word_is_pointer(address):
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_LOAD, _MEM, address, _NONE, 0, _REG, dest, depends
-        )
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if self._word_is_pointer(address):
-            self._pointer_regs.add(dest)
-        if self._word_is_tainted(address):
-            self._tainted_regs.add(dest)
-
-    def _emit_store(self, address: Optional[int] = None) -> None:
-        profile = self.profile
-        pointer_chance = profile.pointer_store_fraction
-        if self._in_init_burst:
-            pointer_chance = min(1.0, pointer_chance * _BURST_POINTER_BOOST)
-        src: Optional[int] = None
-        if self._chance(pointer_chance):
-            src = self._pick_pointer_register()
-        if src is None and self._chance(profile.taint_alu_fraction):
-            src = self._pick_tainted_register()
-        if src is None:
-            src = self._pick_clean_register()
-        if address is None:
-            address = self._choose_data_address(for_write=True)
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_STORE, _REG, src, _NONE, 0, _MEM, address, depends
-        )
-        self._initialized_words.add(address)
-        self._set_word_pointer(address, src in self._pointer_regs)
-        self._set_word_tainted(address, src in self._tainted_regs)
-
-    def _emit_init_store(self, address: int) -> None:
-        self._in_init_burst = True
-        self._emit_store(address=address)
-
-    def _emit_alu(self, num_sources: int) -> None:
-        profile = self.profile
-        sources = []
-        if self._chance(profile.pointer_alu_fraction):
-            pointer_reg = self._pick_pointer_register()
-            if pointer_reg is not None:
-                sources.append(pointer_reg)
-        if self._chance(profile.taint_alu_fraction):
-            tainted_reg = self._pick_tainted_register()
-            if tainted_reg is not None and len(sources) < num_sources:
-                sources.append(tainted_reg)
-        while len(sources) < num_sources:
-            sources.append(self._pick_clean_register())
-        if any(reg in self._pointer_regs for reg in sources):
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        sources = sources[:num_sources]
-        pc = self._next_pc()
-        depends = self._depends()
-        if len(sources) == 2:
-            self._emit_instruction(
-                pc, _OP_ALU, _REG, sources[0], _REG, sources[1], _REG, dest, depends
-            )
-        else:
-            self._emit_instruction(
-                pc, _OP_ALU, _REG, sources[0], _NONE, 0, _REG, dest, depends
-            )
-        is_pointer = any(reg in self._pointer_regs for reg in sources)
-        is_tainted = any(reg in self._tainted_regs for reg in sources)
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if is_pointer:
-            self._pointer_regs.add(dest)
-        if is_tainted:
-            self._tainted_regs.add(dest)
-
-    def _emit_move(self) -> None:
-        if self._chance(self.profile.pointer_alu_fraction):
-            src = self._pick_pointer_register() or self._pick_clean_register()
-        else:
-            src = self._pick_clean_register()
-        if src in self._pointer_regs:
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_MOVE, _REG, src, _NONE, 0, _REG, dest, depends
-        )
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if src in self._pointer_regs:
-            self._pointer_regs.add(dest)
-        if src in self._tainted_regs:
-            self._tainted_regs.add(dest)
-
-    def _emit_fp(self) -> None:
-        # FP operands live in the (untracked) floating-point register file;
-        # no monitor observes FP instructions, and FP results never carry
-        # pointers or taint, so the event has no destination to shadow.
-        num_sources = 2 if self._chance(0.5) else 1
-        src1 = self._pick_register()
-        src2 = self._pick_register() if num_sources == 2 else 0
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc,
-            _OP_FP,
-            _REG,
-            src1,
-            _REG if num_sources == 2 else _NONE,
-            src2,
-            _NONE,
-            0,
-            depends,
-        )
-
-    def _emit_branch(self) -> None:
-        # Clean programs never branch through tainted or undefined data;
-        # buggy traces (workload.bugs) construct those flows explicitly.
-        src = self._pick_clean_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_BRANCH, _REG, src, _NONE, 0, _NONE, 0, depends
-        )
-
-    def _emit_nop(self) -> None:
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc, _OP_NOP, _NONE, 0, _NONE, 0, _NONE, 0, False
-        )
-
-    # --- structural emitters ------------------------------------------------------
-
-    def _do_call(self) -> None:
         size = min(
-            self.profile.frame_size_max,
-            self._rng.pareto_int(self.profile.frame_size_mean // 2, shape=2.0),
+            profile.frame_size_max,
+            self._rng.pareto_int(profile.frame_size_mean // 2, shape=2.0),
         )
-        frame = self._stack.call(size)
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc,
-            _OP_CALL,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            False,
-            frame_base=frame.base,
-            frame_size=frame.size,
-        )
+        return self._stack.call(size)
 
-    def _do_return(self) -> None:
+    def _pop_frame(self) -> Frame:
+        """Close the innermost frame for a RETURN.  The frame is dead: its
+        words leave the ground-truth sets so no biased operand pick
+        resurrects a dangling stack address."""
         frame = self._stack.ret()
         self._frame_written.pop(frame.base, None)
-        # The frame is dead: scrub its words from the ground-truth sets so
-        # no biased operand pick resurrects a dangling stack address.
-        for index in range(frame.num_words):
-            word = frame.base + index * WORD_SIZE
-            self._set_word_pointer(word, False)
-            self._set_word_tainted(word, False)
-            self._initialized_words.discard(word)
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc,
-            _OP_RETURN,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            False,
-            frame_base=frame.base,
-            frame_size=frame.size,
-        )
+        self._scrub_words(frame.base, frame.num_words)
+        return frame
+
+    def _scrub_words(self, base: int, num_words: int) -> None:
+        """Words become untracked: no pointer, no taint, uninitialised."""
+        pointer_words = self._pointer_words
+        pointer_word_set = self._pointer_word_set
+        tainted_words = self._tainted_words
+        tainted_word_set = self._tainted_word_set
+        initialized = self._initialized_words
+        for word in range(base, base + num_words * WORD_SIZE, WORD_SIZE):
+            if word in pointer_word_set:
+                pointer_word_set.discard(word)
+                if len(pointer_words) > 4 * len(pointer_word_set) + 64:
+                    pointer_words[:] = sorted(pointer_word_set)
+            if word in tainted_word_set:
+                tainted_word_set.discard(word)
+                if len(tainted_words) > 4 * len(tainted_word_set) + 64:
+                    tainted_words[:] = sorted(tainted_word_set)
+            initialized.discard(word)
+
+    def _mark_tainted(self, base: int, num_words: int) -> None:
+        """A taint source writes ``num_words`` words from ``base``."""
+        tainted_words = self._tainted_words
+        tainted_word_set = self._tainted_word_set
+        initialized = self._initialized_words
+        for word in range(base, base + num_words * WORD_SIZE, WORD_SIZE):
+            if word not in tainted_word_set:
+                tainted_word_set.add(word)
+                tainted_words.append(word)
+            initialized.add(word)
 
     def _do_malloc(self) -> None:
+        profile = self.profile
+        rng = self._rng
         size = min(
-            self.profile.alloc_size_max,
-            self._rng.pareto_int(self.profile.alloc_size_mean // 2, shape=1.6),
+            profile.alloc_size_max,
+            rng.pareto_int(profile.alloc_size_mean // 2, shape=1.6),
         )
         allocation = self._heap.malloc(size)
-        dest = self._pick_pointer_dest_register()
-        self._add_hl(
-            _HL_MALLOC, allocation.base, allocation.size, dest, self._thread, False
-        )
+        dest = rng.randint(1, POINTER_REG_MAX)
+        add_hl = self._builder.add_high_level
+        add_hl(_HL_MALLOC, allocation.base, allocation.size, dest, self._thread, False)
         self._pointer_regs.add(dest)
         self._tainted_regs.discard(dest)
-        init_words = int(allocation.num_words * self.profile.init_burst_fraction)
-        for index in range(init_words):
-            self._pending_init.append(allocation.base + index * WORD_SIZE)
-        if self._chance(self.profile.taint_source_fraction):
-            tainted_bytes = allocation.size
-            self._add_hl(
+        init_words = int(allocation.num_words * profile.init_burst_fraction)
+        self._pending_init.extend(
+            range(
+                allocation.base,
+                allocation.base + init_words * WORD_SIZE,
+                WORD_SIZE,
+            )
+        )
+        if rng.chance(profile.taint_source_fraction):
+            add_hl(
                 _HL_TAINT_SOURCE,
                 allocation.base,
-                tainted_bytes,
+                allocation.size,
                 0,
                 self._thread,
                 False,
             )
-            for index in range(allocation.num_words):
-                word = allocation.base + index * WORD_SIZE
-                self._set_word_tainted(word, True)
-                self._initialized_words.add(word)
+            self._mark_tainted(allocation.base, allocation.num_words)
 
     def _do_buffer_taint_source(self) -> None:
         """External input (read/recv) lands in a span of the global segment."""
-        span_words = self._randint(16, 64)
-        start_index = self._randint(
-            0, max(0, len(self._hot_words) - span_words - 1)
-        )
+        rng = self._rng
+        span_words = rng.randint(16, 64)
+        start_index = rng.randint(0, max(0, len(self._hot_words) - span_words - 1))
         base = self._hot_words[start_index]
-        self._add_hl(
+        self._builder.add_high_level(
             _HL_TAINT_SOURCE, base, span_words * WORD_SIZE, 0, self._thread, False
         )
-        for index in range(span_words):
-            word = base + index * WORD_SIZE
-            self._set_word_tainted(word, True)
-            self._initialized_words.add(word)
+        self._mark_tainted(base, span_words)
 
     def _do_free(self) -> None:
         allocation = self._heap.free_random()
         if allocation is None:
             return
-        if self._pending_init:
+        pending = self._pending_init
+        if pending:
             # Drop queued initialisation stores aimed at the freed region —
             # letting them run would synthesise use-after-free stores.
-            self._pending_init = deque(
-                address
-                for address in self._pending_init
-                if not allocation.contains(address)
-            )
-        for index in range(allocation.num_words):
-            word = allocation.base + index * WORD_SIZE
-            self._set_word_pointer(word, False)
-            self._set_word_tainted(word, False)
-            self._initialized_words.discard(word)
-        self._add_hl(
+            start = allocation.base
+            end = start + allocation.size
+            kept = [address for address in pending if not start <= address < end]
+            pending.clear()
+            pending.extend(kept)
+        self._scrub_words(allocation.base, allocation.num_words)
+        self._builder.add_high_level(
             _HL_FREE, allocation.base, allocation.size, 0, self._thread, False
         )
 

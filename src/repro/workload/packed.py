@@ -8,8 +8,9 @@ frame geometry, thread, high-level event payloads) instead of millions of
 functional-work bounds of grid execution:
 
 * **Generation** appends machine integers to columns — no frozen-dataclass
-  construction per item (:class:`~repro.workload.generator.TraceGenerator`
-  emits packed columns directly).
+  construction per item: :class:`~repro.workload.generator.TraceGenerator`
+  emits packed columns directly from one straight-line loop that appends
+  each row through :meth:`PackedTraceBuilder.column_appends`.
 * **Distribution** is a single buffer: the parallel runner places the
   column bytes in ``multiprocessing.shared_memory`` and workers attach
   zero-copy (:mod:`repro.api.shm`); pickling falls back to one compact
@@ -122,6 +123,12 @@ class PackedTraceBuilder:
         self._appends = tuple(
             columns[name].append for name, _ in COLUMN_SPEC
         )
+
+    def column_appends(self) -> Tuple:
+        """The bound ``append`` of every column, in :data:`COLUMN_SPEC`
+        order — for emitters that append a row inline (the trace
+        generator's loop) instead of calling :meth:`add_instruction`."""
+        return self._appends
 
     def add_instruction(
         self,
@@ -282,6 +289,12 @@ class PackedTrace(Trace):
         self._num_instructions: Optional[int] = None
         self._lists: Optional[Tuple[list, ...]] = None
         self._view: Optional[_PackedItems] = None
+        #: Per-item memo of delivery-plan work items, owned by
+        #: :func:`repro.system.simulator.build_plan`: items are
+        #: monitor-independent, so plans for several monitors over this
+        #: trace share them.  Process-local — pickling and shared-memory
+        #: attachment start without it.
+        self.plan_items: Optional[list] = None
         # Keep the owning shared-memory segment (if any) alive for as long
         # as the column views reference its buffer.
         self._shared = shared
@@ -478,6 +491,7 @@ class PackedTrace(Trace):
         wants to detach from shared memory before it exits."""
         self._view = None
         self._lists = None
+        self.plan_items = None
         for attr in (
             "_f0", "_f1", "_f2", "_f3", "_f4", "_f5",
             "_kind", "_op", "_flags", "_thread",

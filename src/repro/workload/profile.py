@@ -144,6 +144,9 @@ class BenchmarkProfile:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{self.name}: {field}={value} out of [0, 1]")
+        if self.hot_set_words < 1:
+            # Every trace's hot-set picks need at least one word.
+            raise ConfigurationError(f"{self.name}: hot_set_words must be >= 1")
         if self.parallel and self.num_threads < 2:
             raise ConfigurationError(f"{self.name}: parallel profiles need >= 2 threads")
         if self.parallel and self.thread_switch_period <= 0:

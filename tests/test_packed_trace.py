@@ -173,6 +173,61 @@ class TestColumnFastPaths:
                 assert fast_item.payload == generic_item.payload
 
 
+class TestPlanItemMemo:
+    """Plan work items are memoised on the trace and shared across
+    monitors; the memo is process-local state, never serialised."""
+
+    def test_monitors_share_plan_items(self):
+        trace = generate_trace(get_profile("astar"), 1500, seed=11)
+        assert trace.plan_items is None
+        addrcheck = build_plan(trace, create_monitor("addrcheck"))
+        memleak = build_plan(trace, create_monitor("memleak"))
+        assert trace.plan_items is not None
+        shared = 0
+        for first, second in zip(addrcheck.items, memleak.items):
+            if first is not None and second is not None:
+                assert first is second
+                shared += 1
+        assert shared > 0
+        # Sharing is invisible: the second plan equals one built cold.
+        cold = build_plan(
+            generate_trace(get_profile("astar"), 1500, seed=11),
+            create_monitor("memleak"),
+        )
+        for memoised, fresh in zip(memleak.items, cold.items):
+            assert (memoised is None) == (fresh is None)
+            if fresh is not None:
+                assert memoised.kind == fresh.kind
+                assert memoised.payload == fresh.payload
+                assert memoised.handler_kind == fresh.handler_kind
+                assert memoised.sequence == fresh.sequence
+
+    def test_pickle_drops_the_memo(self):
+        trace = generate_trace(get_profile("astar"), 1500, seed=11)
+        bare = pickle.dumps(trace)
+        build_plan(trace, create_monitor("memcheck"))
+        assert trace.plan_items is not None
+        payload = pickle.dumps(trace)
+        assert payload == bare  # __reduce__ stays the compact column payload.
+        assert pickle.loads(payload).plan_items is None
+
+    @pytest.mark.skipif(
+        not shared_memory_available(), reason="no multiprocessing.shared_memory"
+    )
+    def test_shared_memory_attach_drops_the_memo(self):
+        trace = generate_trace(get_profile("astar"), 1500, seed=11)
+        build_plan(trace, create_monitor("memcheck"))
+        arena = SharedTraceArena()
+        try:
+            handle = arena.share(trace)
+            assert handle is not None
+            attached = attach_trace(handle)
+            assert attached is not None and attached.plan_items is None
+        finally:
+            detach_all()
+            arena.cleanup()
+
+
 class TestSimulationBitIdentity:
     @pytest.mark.parametrize("engine", ["naive", "event"])
     @pytest.mark.parametrize(

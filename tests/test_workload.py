@@ -47,6 +47,10 @@ class TestProfiles:
         with pytest.raises(ConfigurationError):
             BenchmarkProfile(name="bad", locality=1.5)
 
+    def test_hot_set_must_be_non_empty(self):
+        with pytest.raises(ConfigurationError, match="hot_set_words"):
+            BenchmarkProfile(name="bad", hot_set_words=0)
+
     def test_parallel_needs_time_slice(self):
         with pytest.raises(ConfigurationError):
             BenchmarkProfile(
