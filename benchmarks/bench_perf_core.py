@@ -30,10 +30,6 @@ Environment knobs:
   ratio (default 1.0: the event engine must never be slower).
 * ``REPRO_BENCH_PERF_MIN_FADE_SPEEDUP`` — fail below this event/naive
   engine-loop ratio on the FADE-active split (default 1.0).
-* ``REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP`` — fail below this vector/event
-  engine-loop ratio on the FADE-active split (default 0.5 — a sanity
-  floor, not a target: the measured ratio is ~0.8–0.95x, see
-  DESIGN.md §12).  Skipped when NumPy is unavailable.
 * ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` — fail if arming the
   checkpoint machinery (thresholds firing into a no-op callback) slows
   the event engine loop by more than this fraction (default 0.01).
@@ -65,7 +61,6 @@ if str(_ROOT) not in sys.path:  # Script mode: make `benchmarks.common` importab
     sys.path.insert(0, str(_ROOT))
 
 from benchmarks.common import BENCH_SETTINGS, maybe_profile, record
-from repro import kernels
 from repro.analysis import ExperimentSettings
 from repro.analysis.experiments import benchmarks_for
 from repro.api import ResultStore, RunSpec, SerialRunner
@@ -117,11 +112,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
     fused-run-length distribution and the filter-memo hit rates of the
     event engine (both diagnostic: results are bit-identical either way,
     which is re-checked here).
-
-    When NumPy is available a third leg times ``engine="vector"`` and
-    splits its wall clock into kernel seconds (inside the column kernels,
-    from :func:`repro.kernels.kernel_timings`) versus boundary seconds
-    (everything else: the shared event loop plus batch consumption).
     """
     runner = SerialRunner()
     cells = [
@@ -136,13 +126,10 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         runner.cache.plan(benchmark, settings, monitor)
 
     engine_legs = ("naive", "event")
-    if kernels.get_numpy() is not None:
-        engine_legs += ("vector",)
     best = {engine: float("inf") for engine in engine_legs}
     outputs = {}
     cycles = {}
-    memo = {"gen_hits": 0, "value_hits": 0, "misses": 0}
-    vector_kernels = None
+    memo = {"value_hits": 0, "misses": 0}
     fusion_stats.reset()
     # Rounds interleave the engines A/B so machine drift hits both alike.
     for round_index in range(max(1, rounds)):
@@ -164,8 +151,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
                 sim._run_warmup()
                 sims.append(sim)
             gc.collect()
-            if engine == "vector":
-                kernels.reset_kernel_stats()
             start = time.perf_counter()
             if engine == "naive":
                 for sim in sims:
@@ -176,24 +161,12 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
             elapsed = time.perf_counter() - start
             if elapsed < best[engine]:
                 best[engine] = elapsed
-                if engine == "vector":
-                    # Kernel-vs-boundary split of the best vector round.
-                    timings = kernels.kernel_timings()
-                    kernel_seconds = sum(timings.values())
-                    vector_kernels = {
-                        "kernel_seconds": kernel_seconds,
-                        "boundary_seconds": elapsed - kernel_seconds,
-                        "kernel_fraction": kernel_seconds / elapsed,
-                        "timings": timings,
-                        "counters": kernels.kernel_counters(),
-                    }
             results = [sim._finalize() for sim in sims]
             cycles[engine] = sum(result.cycles for result in results)
             outputs[engine] = [result.to_dict() for result in results]
             if engine == "event" and round_index == 0:
                 for sim in sims:
                     pipeline = sim.fade.pipeline
-                    memo["gen_hits"] += pipeline.memo_hits
                     memo["value_hits"] += pipeline.memo_value_hits
                     memo["misses"] += pipeline.memo_misses
     engines = {
@@ -206,7 +179,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         }
         for engine in engine_legs
     }
-    lookups = memo["gen_hits"] + memo["value_hits"] + memo["misses"]
+    lookups = memo["value_hits"] + memo["misses"]
     run_lengths = fusion_stats.run_lengths
     total_runs = max(1, fusion_stats.runs)
     return {
@@ -215,22 +188,12 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         "speedup_event_vs_naive": (
             engines["naive"]["seconds"] / engines["event"]["seconds"]
         ),
-        "speedup_vector_vs_event": (
-            engines["event"]["seconds"] / engines["vector"]["seconds"]
-            if "vector" in engines
-            else None
-        ),
-        "vector_kernels": vector_kernels,
         "bit_identical": all(
             outputs[engine] == outputs["naive"] for engine in engine_legs
         ),
         "filter_memo": {
             **memo,
-            "hit_rate": (
-                (memo["gen_hits"] + memo["value_hits"]) / lookups
-                if lookups
-                else 0.0
-            ),
+            "hit_rate": memo["value_hits"] / lookups if lookups else 0.0,
         },
         "fused_runs": fusion_stats.runs,
         "fused_events": fusion_stats.fused_events,
@@ -646,12 +609,6 @@ def test_perf_core_event_engine():
         os.environ.get("REPRO_BENCH_PERF_MIN_FADE_SPEEDUP", "1.0")
     )
     assert payload["fade_active"]["speedup_event_vs_naive"] >= fade_minimum
-    vector_speedup = payload["fade_active"]["speedup_vector_vs_event"]
-    if vector_speedup is not None:
-        vector_minimum = float(
-            os.environ.get("REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP", "0.5")
-        )
-        assert vector_speedup >= vector_minimum
     max_overhead = float(
         os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
     )
@@ -689,18 +646,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    vector_speedup = fade["speedup_vector_vs_event"]
-    if vector_speedup is not None:
-        vector_minimum = float(
-            os.environ.get("REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP", "0.5")
-        )
-        if vector_speedup < vector_minimum:
-            print(
-                f"FAIL: vector engine at {vector_speedup:.2f}x of the event "
-                f"engine, below the {vector_minimum:.2f}x sanity floor",
-                file=sys.stderr,
-            )
-            return 1
     checkpointing = payload["checkpointing"]
     max_overhead = float(
         os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
@@ -726,16 +671,9 @@ def main() -> int:
         return 1
     functional = payload["functional"]
     store = payload["result_store"]
-    vector_note = (
-        f"vector {vector_speedup:.2f}x of event, "
-        f"{100 * fade['vector_kernels']['kernel_fraction']:.0f}% in kernels; "
-        if vector_speedup is not None
-        else "vector leg skipped (no NumPy); "
-    )
     print(
         f"[BENCH_perf.json written: event engine {speedup:.2f}x vs naive "
         f"(fade-active {fade['speedup_event_vs_naive']:.2f}x, "
-        f"{vector_note}"
         f"memo hit rate {100 * fade['filter_memo']['hit_rate']:.0f}%, "
         f"mean fused run {fade['fused_run_length_mean']:.1f} events); "
         f"cold grid {functional['cold_total_seconds']:.2f}s "

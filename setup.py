@@ -1,10 +1,7 @@
 """Setup shim: enables legacy editable installs where the ``wheel`` package
 is unavailable (``pip install -e .`` needs bdist_wheel on old setuptools).
 
-The core package is pure-stdlib; NumPy is an *optional* extra that unlocks
-the ``engine="vector"`` column kernels (``pip install -e .[vector]``).
-Without it the vector engine degrades to the scalar event engine with a
-one-time RuntimeWarning — see :mod:`repro.kernels`.
+The core package is pure-stdlib.
 """
 from setuptools import find_packages, setup
 
@@ -14,7 +11,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.8",
-    extras_require={
-        "vector": ["numpy"],
-    },
 )

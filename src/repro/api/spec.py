@@ -29,13 +29,6 @@ TOPOLOGY_ALIASES: Dict[str, Topology] = {
     "single": Topology.SINGLE_CORE_SMT,
     "two-core": Topology.TWO_CORE,
 }
-ENGINE_ALIASES: Dict[str, str] = {
-    "naive": "naive",
-    "event": "event",
-    "vector": "vector",
-    "vec": "vector",
-    "vectorized": "vector",
-}
 
 
 def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
@@ -76,15 +69,6 @@ def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
                 f"unknown topology {topology!r}; expected one of "
                 f"{', '.join(sorted(TOPOLOGY_ALIASES))} (or an enum value)"
             ) from None
-    engine = converted.get("engine")
-    if isinstance(engine, str):
-        normalized = ENGINE_ALIASES.get(engine)
-        if normalized is None:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(sorted(ENGINE_ALIASES))}"
-            )
-        converted["engine"] = normalized
     for name in ("md_cache", "hierarchy"):
         nested = converted.get(name)
         if isinstance(nested, Mapping):

@@ -154,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile-sim", action="store_true",
         help="run the command under cProfile and print the top-20 "
-             "cumulative entries, plus per-kernel timing buckets when "
-             "the vector engine ran (place before the subcommand)",
+             "cumulative entries (place before the subcommand)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -167,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-fade", action="store_true", help="unaccelerated system")
     run.add_argument("--blocking", action="store_true", help="disable Non-Blocking")
     run.add_argument(
-        "--engine", default="event", choices=("naive", "event", "vector"),
-        help="simulation engine: naive reference stepper, event-driven "
-             "(default), or the NumPy column-kernel tier (falls back to "
-             "event when NumPy is unavailable)",
+        "--engine", default="event", choices=("naive", "event"),
+        help="simulation engine: naive reference stepper or event-driven "
+             "(default)",
     )
     run.add_argument("-n", "--instructions", type=int, default=20_000)
     run.add_argument("--seed", type=int, default=7)
@@ -1036,11 +1034,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             profiler.disable()
             stats = pstats.Stats(profiler, stream=sys.stderr)
             stats.sort_stats("cumulative").print_stats(20)
-            from repro.kernels import format_kernel_report
-
-            report = format_kernel_report()
-            if report is not None:
-                print(report, file=sys.stderr)
         return status
     return command(args)
 

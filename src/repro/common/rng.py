@@ -71,9 +71,6 @@ class DeterministicRng:
     def choice(self, items: Sequence[T]) -> T:
         return self._random.choice(items)
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def geometric(self, mean: float) -> int:
         """Sample a geometric-like positive integer with the given mean.
 

@@ -60,7 +60,7 @@ class WordMap:
 
     def lookup(self, word: int) -> int:
         """Value of a word that has no explicit entry, materialising it
-        when an extent covers it (no generation counter is involved)."""
+        when an extent covers it."""
         starts = self.starts
         if starts:
             index = bisect_right(starts, word) - 1
@@ -202,30 +202,12 @@ class ShadowMemory:
     a clear iterates whichever is smaller, the range or the map.  None of
     this is visible through :meth:`read`, :meth:`items`, :meth:`snapshot`
     or ``len()``, which keep their per-word meaning.
-
-    Two levels of generation counters track value-changing mutations for
-    FADE's filter memo (see :class:`repro.fade.pipeline.FilteringPipeline`):
-    ``generation`` is a store-wide epoch, and ``word_generations`` maps each
-    word to its own counter, so a cached filtering decision keyed on one
-    word survives writes to every other word.  While a word's generation is
-    unchanged, its metadata byte holds the value a previous chain walk
-    read.  Same-value rewrites through :meth:`write` (handlers refreshing
-    critical hints) bump neither; :meth:`bulk_set` bumps its whole range
-    conservatively; materialising an extent word bumps nothing.
     """
 
     def __init__(self, default: int = 0) -> None:
         if not 0 <= default <= 0xFF:
             raise ValueError("metadata bytes must fit in 8 bits")
         self.default = default
-        self.generation = 0
-        #: Per-word change counters for single-word writes (absent word ==
-        #: generation 0).  The dict's identity is stable; the filter memo
-        #: reads it directly.
-        self.word_generations: Dict[int, int] = {}
-        #: Bumped once per :meth:`bulk_set` — an O(1) epoch standing in for
-        #: per-word bumps over whole ranges (the filter memo checks both).
-        self.bulk_epoch = 0
         self.words = WordMap(default)
         #: ``words.explicit``, hoisted for the two hottest methods.
         self._bytes = self.words.explicit
@@ -259,9 +241,6 @@ class ShadowMemory:
             explicit.pop(word, None)
         else:
             explicit[word] = value
-        self.generation += 1
-        generations = self.word_generations
-        generations[word] = generations.get(word, 0) + 1
         return True
 
     def bulk_set(self, start: int, length: int, value: int) -> int:
@@ -276,27 +255,15 @@ class ShadowMemory:
             raise ValueError("metadata bytes must fit in 8 bits")
         words = words_in_range(start, length)
         self.words.fill(words, value)
-        if words:
-            # Conservative: the range write may or may not have changed each
-            # byte; over-invalidating the filter memo is always sound, and
-            # one epoch bump is O(1) where per-word bumps would double the
-            # cost of every stack/heap range operation.
-            self.generation += 1
-            self.bulk_epoch += 1
         return len(words)
 
     def clear(self, start: int, length: int) -> int:
-        """Exactly per-word ``write(word, default)`` over a range — the
-        same per-word generation bumps — at the cost of the smaller of the
-        range and the map; returns the number of words in the range."""
+        """Exactly per-word ``write(word, default)`` over a range, at the
+        cost of the smaller of the range and the map; returns the number of
+        words in the range."""
         words = words_in_range(start, length)
-        changed = self.words.non_default(words)
-        if changed:
+        if self.words.non_default(words):
             self.words.fill(words, self.default)
-            self.generation += len(changed)
-            generations = self.word_generations
-            for word in changed:
-                generations[word] = generations.get(word, 0) + 1
         return len(words)
 
     def items(self) -> Iterator[Tuple[int, int]]:
@@ -312,22 +279,13 @@ class ShadowMemory:
     def capture_state(self) -> dict:
         """Serializable mid-run state (distinct from :meth:`snapshot`, the
         older contents-only view used by equivalence tests)."""
-        return {
-            "words": self.words.capture_state(),
-            "generation": self.generation,
-            "word_generations": dict(self.word_generations),
-            "bulk_epoch": self.bulk_epoch,
-        }
+        return {"words": self.words.capture_state()}
 
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, mutating *in place*: the
-        ``word_generations`` dict and the word map's containers keep their
-        identities (the filter memo and pipeline hold direct references)."""
+        """Inverse of :meth:`capture_state`, mutating *in place*: the word
+        map's containers keep their identities (the filter pipeline holds
+        direct references)."""
         self.words.restore_state(state["words"])
-        self.generation = state["generation"]
-        self.word_generations.clear()
-        self.word_generations.update(state["word_generations"])
-        self.bulk_epoch = state["bulk_epoch"]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -336,18 +294,13 @@ class ShadowMemory:
 class ShadowRegisters:
     """One metadata byte per architectural register (the MD RF's contents).
 
-    ``generation`` and the per-register ``generations`` list track
-    value-changing writes exactly like :class:`ShadowMemory`'s counters
-    (the filter memo's invalidation keys).
+    The byte list's identity is stable; the filter pipeline reads it
+    directly.
     """
 
     def __init__(self, num_registers: int = 32, default: int = 0) -> None:
         self.num_registers = num_registers
         self.default = default
-        self.generation = 0
-        #: Per-register change counters (list identity is stable; the
-        #: filter memo reads it directly).
-        self.generations = [0] * num_registers
         self._bytes = [default] * num_registers
 
     def read(self, index: int) -> int:
@@ -360,15 +313,10 @@ class ShadowRegisters:
         if self._bytes[index] == value:
             return False
         self._bytes[index] = value
-        self.generation += 1
-        self.generations[index] += 1
         return True
 
     def reset(self) -> None:
-        for index in range(self.num_registers):
-            self._bytes[index] = self.default
-            self.generations[index] += 1
-        self.generation += 1
+        self._bytes[:] = [self.default] * self.num_registers
 
     def snapshot(self) -> Tuple[int, ...]:
         return tuple(self._bytes)
@@ -377,15 +325,9 @@ class ShadowRegisters:
 
     def capture_state(self) -> dict:
         """Serializable mid-run state (see :class:`ShadowMemory`)."""
-        return {
-            "bytes": list(self._bytes),
-            "generation": self.generation,
-            "generations": list(self.generations),
-        }
+        return {"bytes": list(self._bytes)}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`capture_state`; slice-assigns so the hoisted
-        list identities survive."""
+        list identity survives."""
         self._bytes[:] = state["bytes"]
-        self.generation = state["generation"]
-        self.generations[:] = state["generations"]

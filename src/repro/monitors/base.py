@@ -85,20 +85,16 @@ class Monitor(abc.ABC):
     #: the thread-private stack region).  Declarative so the packed-trace
     #: plan fast path can honour it without materialising instructions.
     wants_memory_below: Optional[int] = None
-    #: Declared metadata-write footprint of the software handlers: which
-    #: critical stores ("regs", "mem", "inv") they may mutate.  Purely
-    #: declarative documentation the tests cross-check; the filter memo
-    #: subscribes to all stores' generation counters regardless.
-    metadata_write_footprint: frozenset = frozenset({"regs", "mem", "inv"})
-    #: True when every critical-metadata mutation the monitor performs goes
-    #: through the generation-tracked channels (``ShadowRegisters.write``,
-    #: ``ShadowMemory.write``/``bulk_set``/``clear``,
-    #: ``InvariantRegisterFile.write``) — the invariant that makes FADE's
-    #: filter memo and the simulator's burst draining sound.  A monitor
-    #: that pokes critical state through any other channel (e.g. replacing
-    #: ``critical_mem`` or mutating its internals directly) must set this
-    #: False; the simulator then falls back to the inline per-event path
-    #: automatically.
+    #: True when all critical metadata the FADE program reads stays
+    #: reachable through the monitor's own ``critical_regs``
+    #: (:class:`ShadowRegisters`), ``critical_mem`` (:class:`ShadowMemory`)
+    #: and the INV RF — the invariant that makes FADE's filter memo and the
+    #: simulator's burst draining sound: the memo keys every decision on
+    #: the values it reads from exactly those stores, through containers
+    #: it hoists once at construction.  A monitor that keeps critical state
+    #: anywhere else (e.g. replacing ``critical_mem`` or swapping its
+    #: internal containers) must set this False; the simulator then falls
+    #: back to the inline per-event path automatically.
     filter_memo_safe: bool = True
 
     def __init__(self, costs: HandlerCosts) -> None:

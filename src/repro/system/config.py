@@ -49,10 +49,8 @@ class SystemConfig:
     #: the drain requirement costs.
     stack_update_drain: bool = True
     #: Simulation engine: ``"event"`` (the default cycle-skipping core that
-    #: jumps across quiet intervals), ``"naive"`` (the reference
-    #: one-cycle-per-iteration stepper), or ``"vector"`` (the event engine
-    #: with NumPy column kernels for filtered-event runs; degrades to
-    #: ``"event"`` when NumPy is unavailable).  All produce bit-identical
+    #: jumps across quiet intervals) or ``"naive"`` (the reference
+    #: one-cycle-per-iteration stepper).  Both produce bit-identical
     #: results; "naive" is kept as the equivalence oracle and fallback.
     engine: str = "event"
     #: Safety limit for the cycle loop.
@@ -63,9 +61,9 @@ class SystemConfig:
             raise ConfigurationError("event queue capacity must be positive or None")
         if self.unfiltered_queue_capacity <= 0:
             raise ConfigurationError("unfiltered queue capacity must be positive")
-        if self.engine not in ("naive", "event", "vector"):
+        if self.engine not in ("naive", "event"):
             raise ConfigurationError(
-                f"engine must be 'naive', 'event' or 'vector', got {self.engine!r}"
+                f"engine must be 'naive' or 'event', got {self.engine!r}"
             )
 
     @property

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -73,7 +72,7 @@ _NEVER = 1 << 62
 #: Layout version of :meth:`MonitoringSimulation.snapshot` payloads.  Bump on
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
-SIM_STATE_VERSION = 2
+SIM_STATE_VERSION = 3
 
 
 class FusionStats:
@@ -140,19 +139,9 @@ class DeliveryPlan:
     retires (None when the monitor ignores it).  Every payload is immutable,
     so a plan may be shared between runs — the runner layer caches plans
     per (benchmark, settings, monitor name).
-
-    ``vector_columns`` caches the vector tier's derived key columns
-    (:mod:`repro.kernels.columns`), built lazily on first vector run and
-    sharing the plan's cache lifecycle.
     """
 
-    __slots__ = (
-        "items",
-        "monitored",
-        "stack_updates",
-        "high_level",
-        "vector_columns",
-    )
+    __slots__ = ("items", "monitored", "stack_updates", "high_level")
 
     def __init__(
         self,
@@ -165,7 +154,6 @@ class DeliveryPlan:
         self.monitored = monitored
         self.stack_updates = stack_updates
         self.high_level = high_level
-        self.vector_columns = None
 
 
 #: Per packed op code: does it carry a stack update (CALL/RETURN)?
@@ -391,14 +379,13 @@ class MonitoringSimulation:
         self._schedule = schedule
 
         # The filter memo and burst draining are enabled together: only for
-        # the event-driven engines ("event" and its "vector" kernel tier;
-        # the naive reference stays truly inline, so the equivalence suite
-        # compares memoized-fused against inline walks), only for monitors
-        # that declare their handlers memo-safe, and never under
-        # REPRO_FORCE_INLINE_FADE=1 (the CI fallback-rot knob).
+        # the event engine (the naive reference stays truly inline, so the
+        # equivalence suite compares memoized-fused against inline walks),
+        # only for monitors that declare their handlers memo-safe, and never
+        # under REPRO_FORCE_INLINE_FADE=1 (the CI fallback-rot knob).
         fade_fast = (
             config.fade_enabled
-            and config.engine in ("event", "vector")
+            and config.engine == "event"
             and monitor.filter_memo_safe
             and not force_inline_filtering()
         )
@@ -444,31 +431,6 @@ class MonitoringSimulation:
             plan = build_plan(trace, monitor)
         self._plan = plan.items
         self._plan_len = len(plan.items)
-
-        # The vector tier: NumPy column kernels layered over the event
-        # engine's windows (see repro.kernels).  Preconditions the kernels
-        # cannot honor drop to the plain event path *structurally*: no
-        # NumPy (one-time warning), FADE disabled, a memo-unsafe monitor,
-        # forced-inline CI runs, or blocking backpressure.
-        self._vector = None
-        self._np = None
-        self._schedule_np = None
-        self._cross_base: Optional[float] = None
-        self._cross_js: Optional[list] = None
-        self._cross_hs: list = []
-        self._cross_pos = 0
-        self._cross_streak = 0
-        if config.engine == "vector":
-            from repro.kernels import get_numpy
-
-            np_mod = get_numpy(warn=True)
-            if np_mod is not None and fade_fast and config.non_blocking:
-                from repro.kernels.predict import VectorPredictor
-
-                self._np = np_mod
-                self._vector = VectorPredictor(
-                    np_mod, self.fade.pipeline, plan
-                )
 
         self.result = RunResult(
             benchmark=trace.name,
@@ -640,8 +602,6 @@ class MonitoringSimulation:
         """Collect the finished run into its :class:`RunResult` (split out
         so benchmarks can time the engine loop in isolation)."""
         self._finish_burst()
-        if self._vector is not None:
-            self._vector.flush_stats()
         self.result.cycles = float(self._now)
         self.result.reports = list(self.monitor.reports)
         if self.fade is not None:
@@ -1027,15 +987,8 @@ class MonitoringSimulation:
         eq_popleft = eq_entries.popleft
         eq_stats = self.event_queue.stats
         # The pipeline is called directly; FadeStats accrue in bulk at
-        # window end (bit-identical to Fade.process_event per event).  The
-        # vector tier swaps in its batched predictor — a bit-identical
-        # drop-in that falls back to this very pipeline per event whenever
-        # a prediction is missing or a store generation moved.
-        vec = self._vector
-        process = vec.process if vec is not None else fade.pipeline.process
-        next_nonnull = vec.columns.next_deliverable if vec is not None else None
-        crossing = self._crossing_halves if vec is not None else None
-        vec_take = vec.take_run if vec is not None else None
+        # window end (bit-identical to Fade.process_event per event).
+        process = fade.pipeline.process
         sample = self._sample
         eq_hist = self._eq_hist
         tlb_extra = self._tlb_service_cycles
@@ -1141,49 +1094,29 @@ class MonitoringSimulation:
                         # The next cycle that can touch the queue: the
                         # crossing of the next non-None plan item (or the
                         # last item's crossing, where the app finishes).
-                        if next_nonnull is not None:
-                            j = next_nonnull[app_index]
-                        else:
-                            j = app_index
-                            while j < plan_len and plan[j] is None:
-                                j += 1
-                        if crossing is not None and j < plan_len:
-                            # Vector tier: the cached halves-space crossing
-                            # (kernels.march) — step- and cycle-independent,
-                            # so the pure-integer conversion below is exact.
-                            h = crossing(j, base)
-                            k = -((halves - h) // step_halves)
-                            if k < 1:
-                                k = 1
-                        else:
-                            target = (
-                                schedule[j]
-                                if j < plan_len
-                                else schedule[plan_len - 1]
-                            )
-                            # First app step n >= 1 with base +
-                            # (halves + n*h)/2 >= target, found exactly
-                            # like _app_quiet_horizon.
-                            k = int(
-                                ceil(
-                                    ((target - base) * 2.0 - halves)
-                                    / step_halves
-                                )
-                            )
-                            if k < 1:
-                                k = 1
-                            while (
-                                k > 1
-                                and base
-                                + (halves + (k - 1) * step_halves) * 0.5
-                                >= target
-                            ):
-                                k -= 1
-                            while (
-                                base + (halves + k * step_halves) * 0.5
-                                < target
-                            ):
-                                k += 1
+                        j = app_index
+                        while j < plan_len and plan[j] is None:
+                            j += 1
+                        target = (
+                            schedule[j] if j < plan_len
+                            else schedule[plan_len - 1]
+                        )
+                        # First app step n >= 1 with base +
+                        # (halves + n*h)/2 >= target, found exactly
+                        # like _app_quiet_horizon.
+                        k = int(
+                            ceil(((target - base) * 2.0 - halves) / step_halves)
+                        )
+                        if k < 1:
+                            k = 1
+                        while (
+                            k > 1
+                            and base + (halves + (k - 1) * step_halves) * 0.5
+                            >= target
+                        ):
+                            k -= 1
+                        while base + (halves + k * step_halves) * 0.5 < target:
+                            k += 1
                         next_delivery = cur + k - 1
                         next_j = j
                     event_cycle = next_delivery
@@ -1339,46 +1272,6 @@ class MonitoringSimulation:
                 if remaining <= head_budget:
                     end = t
                     break
-            if vec_take is not None and not monitor_busy and not app_blocked:
-                # Vector tier, monitor-idle window: consume a whole run of
-                # predicted filtered events in one step.  The run is capped
-                # so every cycle it spans is delivery-free and inside the
-                # window — exactly the cycles the march accrues as quiet
-                # spans — so only progress, occupancy statistics and the
-                # queue sample advance, in bulk.
-                if app_finished:
-                    max_cycles = limit - t
-                elif next_delivery > t:
-                    max_cycles = (
-                        limit if limit < next_delivery else next_delivery
-                    ) - t
-                else:
-                    max_cycles = 0
-                if max_cycles > 0:
-                    run = vec_take(eq_entries, instruction_kind, max_cycles)
-                    if run is not None:
-                        count, busy_total, busys = run
-                        for _ in range(count):
-                            eq_popleft()
-                        eq_stats.dequeued += count
-                        drained += count
-                        pending_filtered += count
-                        occupancy_sum += busy_total
-                        if sample:
-                            # Post-dequeue occupancies: after the k-th pop
-                            # the queue sits at (len + count - 1 - k)
-                            # entries for that event's occupancy cycles.
-                            length = len(eq_entries) + count - 1
-                            for busy in busys:
-                                if busy:
-                                    eq_hist[length] += busy
-                                length -= 1
-                        if not app_finished:
-                            halves += step_halves * busy_total
-                        cur += busy_total
-                        t += busy_total
-                        self._fade_ready_at = t
-                        continue
             # Inlined BoundedQueue.dequeue (hot: once per drained event).
             work = eq_popleft()
             eq_stats.dequeued += 1
@@ -1515,65 +1408,6 @@ class MonitoringSimulation:
             if not drained:
                 cov.hit("fuse.app_only")
         return True
-
-    # ------------------------------------------------------- vector kernels
-
-    def _crossing_halves(self, j: int, base: float) -> int:
-        """Exact crossing threshold (in progress halves) of deliverable
-        plan item ``j`` for the current progress ``base``.
-
-        Thin cache over :func:`repro.kernels.march.crossing_halves`: one
-        kernel call covers a run of upcoming deliverables, and since the
-        threshold depends only on (base, schedule target) the cache is
-        keyed on the exact base value — correct across windows, marches,
-        restores and even a coincidental base re-match after a freeze.
-        """
-        if base == self._cross_base:
-            js = self._cross_js
-            if js is not None:
-                pos = self._cross_pos
-                n = len(js)
-                while pos < n and js[pos] < j:
-                    pos += 1
-                if pos < n and js[pos] == j:
-                    self._cross_pos = pos
-                    return self._cross_hs[pos]
-            streak = self._cross_streak + 1
-        else:
-            # A backpressure freeze re-anchored the progress base; any
-            # batched thresholds are for a stale base.
-            streak = 1
-            self._cross_base = base
-            self._cross_js = None
-        self._cross_streak = streak
-        if streak < 16:
-            # Base values die young around backpressure (every freeze
-            # re-anchors), so batching pays only once this base has proven
-            # stable; until then compute the one threshold scalar-wise,
-            # with the same seed + exact-verify shape as the kernel.
-            target = self._schedule[j]
-            h = int(math.ceil((target - base) * 2.0))
-            while base + (h - 1) * 0.5 >= target:
-                h -= 1
-            while base + h * 0.5 < target:
-                h += 1
-            return h
-        from repro.kernels.march import crossing_halves
-
-        np_mod = self._np
-        schedule_np = self._schedule_np
-        if schedule_np is None:
-            schedule_np = np_mod.asarray(self._schedule, dtype=np_mod.float64)
-            self._schedule_np = schedule_np
-        deliverables = self._vector.columns.deliverable_list
-        idx = bisect_left(deliverables, j)
-        js = deliverables[idx : idx + 1024]
-        self._cross_js = js
-        self._cross_hs = crossing_halves(
-            np_mod, schedule_np[js], base
-        ).tolist()
-        self._cross_pos = 0
-        return self._cross_hs[0]
 
     # -------------------------------------------------------------- monitor
 
@@ -1867,10 +1701,6 @@ class MonitoringSimulation:
         )
         callback = self._checkpoint_callback
         if callback is not None:
-            if self._vector is not None:
-                # The callback may snapshot/restore or otherwise touch
-                # stores whose generation counters anchor the predictions.
-                self._vector.drop_batch()
             callback(self)
 
     def timed_progress(self) -> float:
@@ -2059,11 +1889,6 @@ class MonitoringSimulation:
         self._checkpoint_at = (
             thresholds[position] if position < len(thresholds) else _NEVER
         )
-        if self._vector is not None:
-            # Restored stores carry restored generation counters, so value
-            # comparison against a pre-restore snapshot proves nothing:
-            # predictions must be rebuilt from the restored state.
-            self._vector.drop_batch()
         self._restored = True
 
 

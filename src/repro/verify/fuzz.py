@@ -119,7 +119,7 @@ def _regime_mem_none(rng: Random):
 
 def _regime_alias_dense(rng: Random):
     # A handful of hot words absorb every access: maximal memo reuse and
-    # maximal generation-invalidation churn on the same keys.
+    # maximal metadata churn on the same keys.
     profile = _mix(rng)
     profile.update(
         hot_set_words=rng.choice([1, 2, 4, 8]),
@@ -149,7 +149,7 @@ def _regime_burst_gap(rng: Random):
 def _regime_inv_storm(rng: Random):
     # Parallel profile with a tiny time slice: THREAD_SWITCH high-level
     # events reprogram the INV RF constantly (AtomCheck), re-keying the
-    # value memo and invalidating generation entries.
+    # value memo.
     profile = _mix(rng)
     profile.update(
         parallel=True,
@@ -327,17 +327,12 @@ class WorkloadFuzzer:
             )
             if monitor is None:
                 monitor = rng.choice(MONITORS)
-            # The base engine for the case: mostly the event engine (the
-            # oracle re-runs every case through all engine legs anyway),
-            # occasionally the vector tier so its batching also faces the
-            # fuzzer's hostile queue shapes as the *reference* leg.
-            engine = rng.choice(["event", "event", "event", "vector"])
             try:
                 profile = BenchmarkProfile(name=name, **profile_fields)
                 spec = RunSpec(
                     benchmark=name,
                     monitor=monitor,
-                    config=SystemConfig(engine=engine, **config),
+                    config=SystemConfig(**config),
                     settings=settings,
                     profile=profile,
                 )

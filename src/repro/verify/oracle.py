@@ -2,7 +2,7 @@
 
 For one :class:`~repro.api.RunSpec` the oracle runs the cross-product
 
-    {event, naive, vector engine} x {memoized, forced-inline filtering}
+    {event, naive engine} x {memoized, forced-inline filtering}
     x {serial, parallel execution} x {store-cold, store-warm}
 
 and diffs the *serialized* :class:`~repro.system.results.RunResult`\\ s
@@ -16,25 +16,23 @@ geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Fifteen legs execute per spec: the six serial-cold engine × filter-mode
-combinations over {event, naive, vector} (the naive engine ignores the
-filter memo by construction and forced-inline mode disables the vector
-predictor structurally, but both run under both settings anyway, so the
+Twelve legs execute per spec: the four serial-cold engine × filter-mode
+combinations over {event, naive} (the naive engine ignores the filter
+memo by construction, but runs under both settings anyway, so the
 forced-inline environment path cannot rot unnoticed), two store
 round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
-the store axis covers both persistence formats) plus one of the vector
-leg's own result under its own engine-bearing store key, a
-**checkpointed** leg (run until the first mid-run checkpoint lands,
-abandon, resume from the blob, finish — the snapshot/restore round-trip
-must be bit-exact; included in ``--quick`` mode too), a **segmented** leg
-(the run split into three checkpointed segments at plan-index boundaries
-and stitched — segmentation must reproduce the monolithic run
-byte-for-byte; see :mod:`repro.api.segments`; also in ``--quick``), and —
-in thorough mode — the four parallel-cold combinations.  The remaining corners of the product (warm
-round-trips of the non-reference legs) are implied: every leg must equal
-the reference byte-for-byte, and the store round-trip is a pure
-serialization identity, so one warm leg witnesses it for all.
+the store axis covers both persistence formats), a **checkpointed** leg
+(run until the first mid-run checkpoint lands, abandon, resume from the
+blob, finish — the snapshot/restore round-trip must be bit-exact;
+included in ``--quick`` mode too), a **segmented** leg (the run split
+into three checkpointed segments at plan-index boundaries and stitched —
+segmentation must reproduce the monolithic run byte-for-byte; see
+:mod:`repro.api.segments`; also in ``--quick``), and — in thorough mode
+— the four parallel-cold combinations.  The remaining corners of the
+product (warm round-trips of the non-reference legs) are implied: every
+leg must equal the reference byte-for-byte, and the store round-trip is
+a pure serialization identity, so one warm leg witnesses it for all.
 """
 
 from __future__ import annotations
@@ -337,7 +335,7 @@ class DifferentialOracle:
         digests: Dict[str, str] = {}
         results: Dict[str, RunResult] = {}
         serial_specs: Dict[str, RunSpec] = {}
-        for engine in ("event", "naive", "vector"):
+        for engine in ("event", "naive"):
             for mode, inline in (("memo", False), ("inline", True)):
                 leg = f"{engine}/serial/{mode}/cold"
                 result = self._serial_result(spec, engine, inline)
@@ -368,20 +366,6 @@ class DifferentialOracle:
                 else:
                     digests[leg] = result_digest(warm)
                     results[leg] = warm
-            # The vector leg's own round-trip: store keys hash the full
-            # config (engine included), so a vector result must come back
-            # from the key it was stored under, byte-identical.
-            vector_spec = serial_specs["vector/serial/memo/cold"]
-            store = ResultStore(os.path.join(tmp, "vector-store"))
-            store.put(vector_spec, results["vector/serial/memo/cold"])
-            warm = store.get(vector_spec)
-            store.close()
-            leg = "vector/serial/memo/warm"
-            if warm is None:
-                digests[leg] = "<store-miss-after-put>"
-            else:
-                digests[leg] = result_digest(warm)
-                results[leg] = warm
 
         # Checkpointed leg (quick mode included): crash-after-first-
         # checkpoint, resume, finish — the snapshot/restore round-trip must

@@ -169,7 +169,8 @@ class TraceGenerator:
         self.seed = seed
         self._rng = DeterministicRng(seed, profile.name, "trace")
         self._heap = HeapModel(self._rng.child("heap"))
-        self._stack = CallStackModel(self._rng.child("stack"), profile.max_call_depth)
+        self._rng.child("stack")  # Unused, but child() advances our stream.
+        self._stack = CallStackModel(profile.max_call_depth)
 
         # Ground-truth metadata used only to bias operand selection.  The
         # emit loop binds these containers to locals, so every update

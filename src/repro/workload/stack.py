@@ -8,9 +8,8 @@ to live frames (which the SUU has marked allocated — the filterable case).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
-from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE, align_up
 
 #: The stack grows down from this virtual address.
@@ -28,15 +27,11 @@ class Frame:
     def num_words(self) -> int:
         return self.size // WORD_SIZE
 
-    def word_at(self, index: int) -> int:
-        return self.base + (index % max(1, self.num_words)) * WORD_SIZE
-
 
 class CallStackModel:
     """Grow-down stack of frames with bounded depth."""
 
-    def __init__(self, rng: DeterministicRng, max_depth: int = 64) -> None:
-        self._rng = rng
+    def __init__(self, max_depth: int = 64) -> None:
         self.max_depth = max_depth
         self.frames: List[Frame] = []
         self._stack_pointer = STACK_TOP
@@ -44,14 +39,6 @@ class CallStackModel:
     @property
     def depth(self) -> int:
         return len(self.frames)
-
-    @property
-    def can_call(self) -> bool:
-        return self.depth < self.max_depth
-
-    @property
-    def can_return(self) -> bool:
-        return self.depth > 0
 
     def call(self, frame_size: int) -> Frame:
         """Push a frame of ``frame_size`` bytes and return it."""
@@ -66,17 +53,3 @@ class CallStackModel:
         frame = self.frames.pop()
         self._stack_pointer += frame.size
         return frame
-
-    def current_frame(self) -> Optional[Frame]:
-        if not self.frames:
-            return None
-        return self.frames[-1]
-
-    def random_live_word(self) -> Optional[int]:
-        """Address of a random word in the innermost few frames."""
-        if not self.frames:
-            return None
-        # Accesses concentrate in the innermost frames, like real programs.
-        window = self.frames[-min(3, len(self.frames)):]
-        frame = self._rng.choice(window)
-        return frame.word_at(self._rng.randint(0, max(0, frame.num_words - 1)))

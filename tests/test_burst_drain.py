@@ -1,16 +1,19 @@
 """Unit tests for the burst-drain support machinery: bulk filtered-run
-tracking, the per-word/per-owner FSQ, the two-level filter memo, and the
+tracking, the per-word/per-owner FSQ, the value-keyed filter memo, and the
 fusion telemetry."""
 
 import random
 
 import pytest
 
+from repro.common.units import WORD_SIZE
 from repro.fade.accelerator import Fade, FadeConfig
 from repro.fade.fsq import FilterStoreQueue
 from repro.isa.events import MonitoredEvent
 from repro.isa.opcodes import OpClass, event_id_for
+from repro.metadata.shadow import EXTENT_MIN_WORDS
 from repro.monitors import MONITOR_NAMES, create_monitor
+from repro.monitors.memcheck import INIT, UNINIT
 from repro.system import SystemConfig
 from repro.system.simulator import MonitoringSimulation, fusion_stats
 from repro.workload import generate_trace, get_profile
@@ -131,25 +134,6 @@ def test_fsq_randomized_against_reference(seed):
     assert fsq.inserts == ref.inserts
     assert fsq.hits == ref.hits
     assert fsq.max_occupancy == ref.max_occupancy
-
-
-def test_fsq_generations_track_per_word_traffic():
-    fsq = FilterStoreQueue()
-    assert fsq.word_generations.get(0x100, 0) == 0
-    fsq.insert(0x100, 1, owner_sequence=1)
-    first = fsq.word_generations[0x100]
-    fsq.insert(0x200, 2, owner_sequence=2)
-    assert fsq.word_generations[0x100] == first  # Other-word traffic.
-    fsq.release(1)
-    assert fsq.word_generations[0x100] > first
-
-
-def test_fsq_peek_does_not_count_hits():
-    fsq = FilterStoreQueue()
-    fsq.insert(0x100, 7, owner_sequence=1)
-    assert fsq.peek(0x100) == 7
-    assert fsq.peek(0x999) is None
-    assert fsq.hits == 0
 
 
 # --------------------------------------------------------------- MD cache
@@ -285,12 +269,11 @@ def test_memoized_pipeline_matches_inline(seed, non_blocking, monkeypatch):
         assert memoized.fsq.hits == inline.fsq.hits
         assert memoized.fsq.inserts == inline.fsq.inserts
     # The memo actually engaged (otherwise this test proves nothing).
-    pipeline = memoized.pipeline
-    assert pipeline.memo_hits + pipeline.memo_value_hits > 0
-    assert inline.pipeline.memo_hits + inline.pipeline.memo_value_hits == 0
+    assert memoized.pipeline.memo_value_hits > 0
+    assert inline.pipeline.memo_value_hits == 0
 
 
-def test_generation_invalidation_changes_decision(monkeypatch):
+def test_value_memo_rekeys_on_register_write(monkeypatch):
     """A write to the exact register a cached decision read flips the
     outcome; writes elsewhere leave the cached decision valid."""
     monkeypatch.delenv("REPRO_FORCE_INLINE_FADE", raising=False)
@@ -312,13 +295,58 @@ def test_generation_invalidation_changes_decision(monkeypatch):
     assert not third.filtered
 
 
+def _init_inv_write(fade, inv_id):
+    fade.write_invariant(inv_id, UNINIT)
+
+
+def _uninit_bulk_fill(fade, inv_id):
+    # Long enough to be stored as one extent: the word's explicit entry
+    # goes, and the memo must read the new value through the extent.
+    fade.pipeline.md_memory.bulk_set(0x1000, EXTENT_MIN_WORDS * WORD_SIZE, UNINIT)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_init_inv_write, _uninit_bulk_fill], ids=["inv-write", "bulk-set"]
+)
+def test_value_memo_rekeys_on_inv_and_bulk_writes(mutate, monkeypatch):
+    """A cached filtered load turns unfiltered after a write to the INV
+    register its clean check reads, or a ``bulk_set`` over its word: the
+    value key changes (a memo miss, not a stale hit) and the decision
+    matches the inline walk."""
+    monkeypatch.delenv("REPRO_FORCE_INLINE_FADE", raising=False)
+    memoized, inline = _mirrored_fades()
+    event = MonitoredEvent(
+        event_id=event_id_for(OpClass.LOAD, 1),
+        app_pc=0, app_addr=0x1010, dest_reg=3, sequence=0,
+    )
+    # The load's first check compares the word against the INIT register.
+    chain = memoized.pipeline.event_table.chain(event.event_id)
+    inv_id = chain[0][1].s1.inv_id
+    for fade in (memoized, inline):
+        fade.pipeline.md_memory.write(0x1010, INIT)
+    first = memoized.process_event(event)
+    assert first == inline.process_event(event)
+    assert first.filtered
+    again = memoized.process_event(event)
+    assert again == inline.process_event(event)
+    pipeline = memoized.pipeline
+    assert pipeline.memo_value_hits == 1
+    misses = pipeline.memo_misses
+    for fade in (memoized, inline):
+        mutate(fade, inv_id)
+    third = memoized.process_event(event)
+    assert third == inline.process_event(event)
+    assert not third.filtered
+    assert pipeline.memo_value_hits == 1
+    assert pipeline.memo_misses == misses + 1
+
+
 def test_monitor_footprint_declarations():
-    """Every registered monitor declares a tracked-channel footprint and
-    memo safety (the simulator's fallback gate relies on the default)."""
+    """Every registered monitor declares memo safety (the simulator's
+    fallback gate relies on the default)."""
     for name in MONITOR_NAMES:
         monitor = create_monitor(name)
         assert monitor.filter_memo_safe is True
-        assert monitor.metadata_write_footprint <= {"regs", "mem", "inv"}
 
 
 # -------------------------------------------------------------- telemetry

@@ -186,17 +186,35 @@ class TestRestoreParity:
 
     def test_rejected_state_degrades_to_cold_recompute(self, store):
         # A blob that decodes fine but that the simulation itself refuses
-        # (here: one stamped with the previous SIM_STATE_VERSION, i.e. an
-        # older capture layout) is discarded and the run degrades to a
-        # cold recompute — never an error, never a restore.
+        # (here: one stamped with the previous SIM_STATE_VERSION and
+        # carrying that version's layout, i.e. the generation counters of
+        # the shadow stores, the FSQ and the INV RF) is discarded and the
+        # run degrades to a cold recompute — never an error, never a
+        # restore.
         _abort_after_first_checkpoint(store)
         state = store.get(SPEC)["state"]
-        mem = state["monitor"]["critical_mem"]
-        old_mem = dict(mem, bytes=dict(mem.pop("words")["explicit"]))
+        monitor, fade = state["monitor"], state["fade"]
+        mem = monitor["critical_mem"]
+        old_mem = dict(
+            mem,
+            generation=1,
+            word_generations=dict.fromkeys(mem["words"]["explicit"], 1),
+            bulk_epoch=1,
+        )
+        regs = monitor["critical_regs"]
+        old_regs = dict(
+            regs, generation=0, generations=[0] * len(regs["bytes"])
+        )
+        old_fade = dict(
+            fade,
+            inv_rf=dict(fade["inv_rf"], generation=1),
+            fsq=dict(fade["fsq"], generation=0, word_generations={}),
+        )
         stale = dict(
             state,
             version=SIM_STATE_VERSION - 1,
-            monitor=dict(state["monitor"], critical_mem=old_mem),
+            monitor=dict(monitor, critical_mem=old_mem, critical_regs=old_regs),
+            fade=old_fade,
         )
         store.put(SPEC, stale)
         cold = result_digest(execute_spec(SPEC, RunnerCache()))

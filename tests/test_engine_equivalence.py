@@ -1,14 +1,11 @@
-"""Bit-identity of the event and vector engines against the naive stepper.
+"""Bit-identity of the event engine against the naive stepper.
 
 The event engine (``SystemConfig.engine="event"``, the default) must
 reproduce the reference one-cycle-per-iteration stepper *exactly* — the
 whole serialized :class:`RunResult`, including queue occupancy histograms,
 rejection counts, the cycle breakdown, FADE wait/drain counters and bug
 reports — because it only jumps across provably quiet intervals and runs
-every active cycle through the shared reference stepper.  The vector
-engine layers batched NumPy prediction kernels on top of the event engine
-and must stay equally exact (it degrades to the event engine when NumPy
-is unavailable, so these tests pass either way).
+every active cycle through the shared reference stepper.
 """
 
 import functools
@@ -34,7 +31,7 @@ def bench_for(monitor_name):
     return "water" if monitor_name == "atomcheck" else "astar"
 
 
-ENGINES = ("naive", "event", "vector")
+ENGINES = ("naive", "event")
 
 
 def run_engines(
@@ -65,9 +62,6 @@ def assert_engines_identical(results):
 
 def run_both(monitor_name, benchmark, **kwargs):
     results = run_engines(monitor_name, benchmark, **kwargs)
-    assert results["vector"].to_dict() == results["event"].to_dict(), (
-        "vector engine diverges"
-    )
     return results["naive"], results["event"]
 
 
@@ -161,8 +155,7 @@ def test_force_inline_event_engine_matches(monkeypatch):
 
 def test_memo_unsafe_monitor_falls_back_to_inline(monkeypatch):
     """A monitor that declares ``filter_memo_safe = False`` runs the inline
-    per-event path (no fused windows, no vector predictor), and stays
-    bit-identical."""
+    per-event path (no fused windows), and stays bit-identical."""
     import repro.system.simulator as simulator_module
     from repro.monitors import create_monitor
     from repro.workload import generate_trace, get_profile
@@ -181,7 +174,6 @@ def test_memo_unsafe_monitor_falls_back_to_inline(monkeypatch):
         assert simulator_module.fusion_stats.runs == 0
         results[engine] = result.to_dict()
     assert results["naive"] == results["event"]
-    assert results["naive"] == results["vector"]
 
 
 @pytest.mark.parametrize(
@@ -242,6 +234,35 @@ def test_engines_agree_on_cycle_limit():
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         SystemConfig(engine="warp-drive")
+
+
+def test_removed_vector_engine_rejected(capsys):
+    """The removed NumPy tier is refused on every path that names an engine:
+    the config itself, the campaign-YAML field parser, and the CLI."""
+    from repro.api.spec import config_from_fields
+    from repro.cli import build_parser
+
+    with pytest.raises(ConfigurationError, match="'naive' or 'event'"):
+        SystemConfig(engine="vector")
+    assert config_from_fields({"engine": "event"}).engine == "event"
+    for name in ("vector", "vec", "vectorized"):
+        with pytest.raises(ConfigurationError, match="'naive' or 'event'"):
+            config_from_fields({"engine": name})
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(["run", "--engine", "vector"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
+
+
+def test_store_keys_separate_engines():
+    """The engine is part of a spec's content key, so a result cached
+    under one engine never answers a lookup for another."""
+    from repro.api import RunSpec
+    from repro.api.store import content_key
+
+    event_spec = RunSpec("astar", "memcheck", SystemConfig(engine="event"))
+    naive_spec = event_spec.replace(config=SystemConfig(engine="naive"))
+    assert content_key(event_spec) != content_key(naive_spec)
 
 
 # ------------------------------------------------------- simulate_warmed

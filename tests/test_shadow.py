@@ -116,15 +116,12 @@ class TestShadowMemory:
 
 
 class _ShadowModel:
-    """Per-word reference for :class:`ShadowMemory`: a plain dict plus the
-    generation counters, with every range operation done word by word."""
+    """Per-word reference for :class:`ShadowMemory`: a plain dict, with
+    every range operation done word by word."""
 
     def __init__(self, default):
         self.default = default
         self.bytes = {}
-        self.generation = 0
-        self.bulk_epoch = 0
-        self.word_generations = {}
 
     def read(self, address):
         return self.bytes.get(ShadowMemory.word_address(address), self.default)
@@ -134,17 +131,12 @@ class _ShadowModel:
         if self.bytes.get(word, self.default) == value:
             return False
         self._put(word, value)
-        self.generation += 1
-        self.word_generations[word] = self.word_generations.get(word, 0) + 1
         return True
 
     def bulk_set(self, start, length, value):
         words = words_in_range(start, length)
         for word in words:
             self._put(word, value)
-        if words:
-            self.generation += 1
-            self.bulk_epoch += 1
         return len(words)
 
     def clear(self, start, length):
@@ -160,15 +152,10 @@ class _ShadowModel:
             self.bytes[word] = value
 
     def state(self):
-        return (
-            dict(self.bytes), self.generation, self.bulk_epoch,
-            dict(self.word_generations),
-        )
+        return dict(self.bytes)
 
     def load(self, state):
-        bytes_, self.generation, self.bulk_epoch, generations = state
-        self.bytes = dict(bytes_)
-        self.word_generations = dict(generations)
+        self.bytes = dict(state)
 
 
 _EXTENT_BYTES = EXTENT_MIN_WORDS * WORD_SIZE
@@ -204,9 +191,6 @@ def _assert_matches(shadow, model):
     assert shadow.snapshot() == model.bytes
     assert sorted(shadow.items()) == sorted(model.bytes.items())
     assert len(shadow) == len(model.bytes)
-    assert shadow.generation == model.generation
-    assert shadow.bulk_epoch == model.bulk_epoch
-    assert shadow.word_generations == model.word_generations
 
 
 class TestExtents:
@@ -215,13 +199,10 @@ class TestExtents:
     def test_first_touch_materialises_without_bumping(self):
         shadow = ShadowMemory()
         shadow.bulk_set(0x1000, _EXTENT_BYTES, 5)
-        counters = (shadow.generation, shadow.bulk_epoch)
         assert not shadow.words.explicit and len(shadow.words.extents) == 1
         assert shadow.read(0x1010) == 5
         assert shadow.words.explicit == {0x1010: 5}
         assert not shadow.write(0x1014, 5)
-        assert (shadow.generation, shadow.bulk_epoch) == counters
-        assert shadow.word_generations == {}
         assert len(shadow) == EXTENT_MIN_WORDS
 
     @given(st.sampled_from([0, 1]), _SHADOW_OPS)
@@ -231,7 +212,6 @@ class TestExtents:
         model = _ShadowModel(default)
         identities = (
             shadow.words.explicit, shadow.words.extents, shadow.words.starts,
-            shadow.word_generations,
         )
         saved = None
         for op, address, length, value in ops:
@@ -246,24 +226,19 @@ class TestExtents:
             elif op == "write":
                 assert shadow.write(address, value) == model.write(address, value)
             elif op == "read":
-                # First-touch materialisation bumps no counter.
                 assert shadow.read(address) == model.read(address)
-                assert shadow.generation == model.generation
             elif op == "capture":
                 saved = (pickle.dumps(shadow.capture_state()), model.state())
             elif saved is not None:
                 shadow.restore_state(pickle.loads(saved[0]))
                 model.load(saved[1])
                 _assert_matches(shadow, model)
-            assert shadow.generation == model.generation
-            assert shadow.bulk_epoch == model.bulk_epoch
         _assert_matches(shadow, model)
         for address in range(0, _SPAN + 2 * _EXTENT_BYTES, 3 * WORD_SIZE):
             assert shadow.read(address) == model.read(address)
         # Restores mutate in place: the hoisted containers survive.
         current = (
             shadow.words.explicit, shadow.words.extents, shadow.words.starts,
-            shadow.word_generations,
         )
         assert all(a is b for a, b in zip(identities, current))
 

@@ -85,13 +85,13 @@ class TestHeapModel:
 
 class TestCallStackModel:
     def test_grows_down(self):
-        stack = CallStackModel(DeterministicRng(1))
+        stack = CallStackModel()
         outer = stack.call(64)
         inner = stack.call(64)
         assert inner.base < outer.base
 
     def test_return_restores_pointer(self):
-        stack = CallStackModel(DeterministicRng(1))
+        stack = CallStackModel()
         outer = stack.call(64)
         stack.call(32)
         stack.ret()
@@ -99,11 +99,13 @@ class TestCallStackModel:
         assert again.base == outer.base - 32
 
     def test_depth_bound(self):
-        stack = CallStackModel(DeterministicRng(1), max_depth=2)
+        stack = CallStackModel(max_depth=2)
+        assert stack.depth == 0
         stack.call(16)
         stack.call(16)
-        assert not stack.can_call
-        assert stack.can_return
+        assert stack.depth == stack.max_depth == 2
+        stack.ret()
+        assert stack.depth == 1
 
 
 class TestGenerator:
