@@ -25,14 +25,17 @@ Environment knobs:
 * ``REPRO_BENCH_PERF_INSTRUCTIONS`` — trace length per cell (default: the
   shared bench scale; CI's smoke job uses a tiny grid).
 * ``REPRO_BENCH_PERF_ROUNDS`` — timing rounds per engine; the best round
-  counts (default 2, damping scheduler noise).
+  counts (default 2, damping scheduler noise).  The checkpointing legs
+  run at least 5 paired rounds and report medians.
 * ``REPRO_BENCH_PERF_MIN_SPEEDUP`` — fail below this event/naive wall-clock
   ratio (default 1.0: the event engine must never be slower).
 * ``REPRO_BENCH_PERF_MIN_FADE_SPEEDUP`` — fail below this event/naive
   engine-loop ratio on the FADE-active split (default 1.0).
 * ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` — fail if arming the
   checkpoint machinery (thresholds firing into a no-op callback) slows
-  the event engine loop by more than this fraction (default 0.01).
+  the event engine loop by more than this fraction (default 0.01), read
+  as the median over the paired rounds; its bootstrap 95% interval is
+  recorded beside it, not gated.
 * ``REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP`` — fail below this
   warm-segment-resume vs monolithic wall-clock ratio on one long cell
   (default 1.0: resuming from a stored seam must never be slower than
@@ -43,6 +46,8 @@ The ``fade_active`` payload section isolates the engine loop on the
 FADE-accelerated half of the grid (warmup untimed), where burst draining
 and the filter memo concentrate, and records the fused-run-length
 distribution plus memo hit rates alongside the cycles/sec comparison.
+The ``unaccelerated`` section does the same for the FADE-less half, which
+the event engine runs through its inline window (recorded, not gated).
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ import gc
 import json
 import os
 import pathlib
+import pickle
+import random
+import statistics
 import sys
 import tempfile
 import time
@@ -102,17 +110,9 @@ def _inorder_specs(engine: str, settings: ExperimentSettings) -> list:
     ]
 
 
-def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
-    """Event-vs-naive engine timing on the FADE-accelerated half of the
-    fig9 grid — the cells burst draining and the filter memo accelerate.
-
-    Traces, schedules and plans come from a shared cache and the functional
-    warmup runs untimed, so ``cycles_per_sec`` measures the simulation
-    engine loop itself.  Alongside the timings the payload records the
-    fused-run-length distribution and the filter-memo hit rates of the
-    event engine (both diagnostic: results are bit-identical either way,
-    which is re-checked here).
-    """
+def _engine_loop_cells(settings: ExperimentSettings):
+    """(runner, cells, core): the fig9 (monitor, benchmark) cells with their
+    traces, schedules and plans pre-built in ``runner``'s cache."""
     runner = SerialRunner()
     cells = [
         (monitor, benchmark)
@@ -124,32 +124,51 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         runner.cache.trace(benchmark, settings)
         runner.cache.schedule(benchmark, settings, core)
         runner.cache.plan(benchmark, settings, monitor)
+    return runner, cells, core
 
+
+def _warmed_sim(runner, settings, core, monitor_name, benchmark, config):
+    """A fresh simulation of one cell with its functional warmup applied,
+    so timing ``_run_event``/``_run_naive`` measures the engine loop."""
+    trace = runner.cache.trace(benchmark, settings)
+    sim = MonitoringSimulation(
+        trace,
+        create_monitor(monitor_name),
+        config,
+        get_profile(benchmark),
+        warmup_items=int(len(trace.items) * 0.5),
+        schedule=runner.cache.schedule(benchmark, settings, core),
+        plan=runner.cache.plan(benchmark, settings, monitor_name),
+    )
+    sim._run_warmup()
+    return sim
+
+
+def _measure_engine_loop(
+    settings: ExperimentSettings, rounds: int, fade_enabled: bool
+):
+    """Event-vs-naive engine-loop timing on one half of the fig9 grid.
+
+    Traces, schedules and plans come from a shared cache and the functional
+    warmup runs untimed, so ``cycles_per_sec`` measures the simulation
+    engine loop itself.  Returns the payload section and the event engine's
+    first-round simulations (for diagnostic counters)."""
+    runner, cells, core = _engine_loop_cells(settings)
     engine_legs = ("naive", "event")
     best = {engine: float("inf") for engine in engine_legs}
     outputs = {}
     cycles = {}
-    memo = {"value_hits": 0, "misses": 0}
-    fusion_stats.reset()
+    first_event_sims = []
     # Rounds interleave the engines A/B so machine drift hits both alike.
     for round_index in range(max(1, rounds)):
         for engine in engine_legs:
-            sims = []
-            for monitor_name, benchmark in cells:
-                trace = runner.cache.trace(benchmark, settings)
-                sim = MonitoringSimulation(
-                    trace,
-                    create_monitor(monitor_name),
-                    SystemConfig(
-                        fade_enabled=True, non_blocking=True, engine=engine
-                    ),
-                    get_profile(benchmark),
-                    warmup_items=int(len(trace.items) * 0.5),
-                    schedule=runner.cache.schedule(benchmark, settings, core),
-                    plan=runner.cache.plan(benchmark, settings, monitor_name),
-                )
-                sim._run_warmup()
-                sims.append(sim)
+            config = SystemConfig(
+                fade_enabled=fade_enabled, non_blocking=True, engine=engine
+            )
+            sims = [
+                _warmed_sim(runner, settings, core, monitor_name, benchmark, config)
+                for monitor_name, benchmark in cells
+            ]
             gc.collect()
             start = time.perf_counter()
             if engine == "naive":
@@ -165,10 +184,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
             cycles[engine] = sum(result.cycles for result in results)
             outputs[engine] = [result.to_dict() for result in results]
             if engine == "event" and round_index == 0:
-                for sim in sims:
-                    pipeline = sim.fade.pipeline
-                    memo["value_hits"] += pipeline.memo_value_hits
-                    memo["misses"] += pipeline.memo_misses
+                first_event_sims = sims
     engines = {
         engine: {
             "seconds": best[engine],
@@ -179,10 +195,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         }
         for engine in engine_legs
     }
-    lookups = memo["value_hits"] + memo["misses"]
-    run_lengths = fusion_stats.run_lengths
-    total_runs = max(1, fusion_stats.runs)
-    return {
+    section = {
         "cells": len(cells),
         "engines": engines,
         "speedup_event_vs_naive": (
@@ -191,6 +204,31 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         "bit_identical": all(
             outputs[engine] == outputs["naive"] for engine in engine_legs
         ),
+    }
+    return section, first_event_sims
+
+
+def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
+    """Event-vs-naive engine timing on the FADE-accelerated half of the
+    fig9 grid — the cells burst draining and the filter memo accelerate.
+
+    Alongside the timings the payload records the fused-run-length
+    distribution and the filter-memo hit rates of the event engine (both
+    diagnostic: results are bit-identical either way, which is re-checked
+    here).
+    """
+    fusion_stats.reset()
+    section, sims = _measure_engine_loop(settings, rounds, fade_enabled=True)
+    memo = {"value_hits": 0, "misses": 0}
+    for sim in sims:
+        pipeline = sim.fade.pipeline
+        memo["value_hits"] += pipeline.memo_value_hits
+        memo["misses"] += pipeline.memo_misses
+    lookups = memo["value_hits"] + memo["misses"]
+    run_lengths = fusion_stats.run_lengths
+    total_runs = max(1, fusion_stats.runs)
+    return {
+        **section,
         "filter_memo": {
             **memo,
             "hit_rate": memo["value_hits"] / lookups if lookups else 0.0,
@@ -206,10 +244,34 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
     }
 
 
+def _measure_unaccelerated(settings: ExperimentSettings, rounds: int) -> dict:
+    """Event-vs-naive engine timing on the unaccelerated half of the fig9
+    grid, which the event engine runs through its inline window.  Recorded
+    with its deterministic work counters; not gated."""
+    section, sims = _measure_engine_loop(settings, rounds, fade_enabled=False)
+    return {
+        **section,
+        "handlers_executed": sum(sim.result.handlers_executed for sim in sims),
+        "app_blocked_cycles": sum(sim.result.app_blocked_cycles for sim in sims),
+    }
+
+
+def _bootstrap_median_ci(values, resamples: int = 2000) -> list:
+    """Percentile-bootstrap 95% interval of the median of ``values``
+    (seeded, so a recording is reproducible from its samples)."""
+    rng = random.Random(0)
+    count = len(values)
+    medians = sorted(
+        statistics.median(rng.choices(values, k=count))
+        for _ in range(resamples)
+    )
+    return [medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]]
+
+
 def _measure_checkpointing(settings: ExperimentSettings, rounds: int) -> dict:
     """Cost of the mid-run checkpoint machinery on the event engine loop.
 
-    Three interleaved legs over the FADE-active cells:
+    Three legs over the FADE-active cells:
 
     * ``disabled`` — ``configure_checkpoints`` never called; the loop pays
       only the per-iteration ``_app_index >= _checkpoint_at`` compare
@@ -223,88 +285,96 @@ def _measure_checkpointing(settings: ExperimentSettings, rounds: int) -> dict:
       I/O): the marginal cost of actually taking checkpoints, recorded
       but not gated (it scales with cadence by design).
 
+    Each of at least five rounds times the three legs back to back on
+    every cell (GC off), rotating the leg order per round, so the legs of
+    a round are paired against the same machine state.  An overhead is
+    the median over rounds of the round's ``1 - disabled / leg`` seconds,
+    with a bootstrap 95% interval over the rounds (the variance lives
+    between rounds: Kalibera & Jones, ISMM 2013).  The callbacks fired
+    per round are an exact count, identical every round.
+
     All three legs must stay bit-identical — the callback contract is that
     emitting a checkpoint never perturbs the simulation.
     """
-    runner = SerialRunner()
-    cells = [
-        (monitor, benchmark)
-        for monitor in MONITOR_NAMES
-        for benchmark in benchmarks_for(monitor)
-    ]
-    core = SystemConfig().core_type
-    for monitor, benchmark in cells:
-        runner.cache.trace(benchmark, settings)
-        runner.cache.schedule(benchmark, settings, core)
-        runner.cache.plan(benchmark, settings, monitor)
+    runner, cells, core = _engine_loop_cells(settings)
+    config = SystemConfig(fade_enabled=True, non_blocking=True, engine="event")
     # Same cadence for both active legs, so armed -> snapshotting isolates
     # the pure per-snapshot cost at an identical firing count.
     armed_every = max(1, settings.num_instructions // 4)
     snapshot_every = armed_every
     legs = ("disabled", "armed", "snapshotting")
-    # The armed-vs-disabled delta is a ~0.1% effect measured against
-    # percent-scale scheduler noise, so whole-leg best-of cannot hold a 1%
-    # gate.  Per-cell best-of can: each cell is timed individually (GC off)
-    # and the leg's floor is the *sum of per-cell minima* across rounds,
-    # which filters per-timeslice spikes cell by cell.
-    rounds = max(4, rounds)
-    best: dict = {leg: None for leg in legs}
-    outputs = {}
+    rounds = max(5, rounds)
+    # An untimed pass first: a cell's first run fills lazily built,
+    # plan-shared state, which would tax whichever leg ran first.
+    for monitor_name, benchmark in cells:
+        _warmed_sim(
+            runner, settings, core, monitor_name, benchmark, config
+        )._run_event()
+    round_seconds = {leg: [] for leg in legs}
+    # Per-cell minima across rounds: the legs' throughput floors, which
+    # ``check_perf_regression.py`` compares against the base commit.
+    floors = {leg: [float("inf")] * len(cells) for leg in legs}
+    fired_per_round = {"armed": [], "snapshotting": []}
+    bit_identical = True
     cycles = {}
-    fired = {"armed": 0, "snapshotting": 0}
     snapshot_bytes = 0
-    for round_index in range(max(1, rounds)):
-        for leg in legs:
-            results = []
-            cell_seconds = []
-            for monitor_name, benchmark in cells:
-                trace = runner.cache.trace(benchmark, settings)
-                sim = MonitoringSimulation(
-                    trace,
-                    create_monitor(monitor_name),
-                    SystemConfig(
-                        fade_enabled=True, non_blocking=True, engine="event"
-                    ),
-                    get_profile(benchmark),
-                    warmup_items=int(len(trace.items) * 0.5),
-                    schedule=runner.cache.schedule(benchmark, settings, core),
-                    plan=runner.cache.plan(benchmark, settings, monitor_name),
+    for round_index in range(rounds):
+        shift = round_index % len(legs)
+        order = legs[shift:] + legs[:shift]
+        seconds = dict.fromkeys(legs, 0.0)
+        fired = {"armed": 0, "snapshotting": 0}
+        outputs = {leg: [] for leg in legs}
+        for cell_index, (monitor_name, benchmark) in enumerate(cells):
+            for leg in order:
+                sim = _warmed_sim(
+                    runner, settings, core, monitor_name, benchmark, config
                 )
-                sim._run_warmup()
                 if leg == "armed":
-                    def _noop(running_sim, _leg=leg):
-                        fired[_leg] += 1
+                    def _noop(running_sim):
+                        fired["armed"] += 1
 
                     sim.configure_checkpoints(armed_every, _noop)
                 elif leg == "snapshotting":
-                    def _snap(running_sim, _leg=leg):
-                        fired[_leg] += 1
+                    def _snap(running_sim):
+                        fired["snapshotting"] += 1
                         running_sim.snapshot()
 
                     sim.configure_checkpoints(snapshot_every, _snap)
                 gc.disable()
                 start = time.perf_counter()
                 sim._run_event()
-                cell_seconds.append(time.perf_counter() - start)
+                elapsed = time.perf_counter() - start
                 gc.enable()
-                results.append(sim._finalize())
+                seconds[leg] += elapsed
+                if elapsed < floors[leg][cell_index]:
+                    floors[leg][cell_index] = elapsed
+                result = sim._finalize()
+                outputs[leg].append(result.to_dict())
                 if leg == "snapshotting" and round_index == 0:
-                    import pickle
-
-                    snapshot_bytes += len(
-                        pickle.dumps(sim.snapshot(), protocol=4)
-                    )
-            prior = best[leg]
-            best[leg] = (
-                cell_seconds
-                if prior is None
-                else [min(p, t) for p, t in zip(prior, cell_seconds)]
-            )
-            cycles[leg] = sum(result.cycles for result in results)
-            outputs[leg] = [result.to_dict() for result in results]
-    best = {leg: sum(floors) for leg, floors in best.items()}
+                    snapshot_bytes += len(pickle.dumps(sim.snapshot(), protocol=4))
+                if round_index == 0:
+                    cycles[leg] = cycles.get(leg, 0.0) + result.cycles
+        bit_identical = bit_identical and (
+            outputs["disabled"] == outputs["armed"] == outputs["snapshotting"]
+        )
+        for leg in legs:
+            round_seconds[leg].append(seconds[leg])
+        for leg, count in fired.items():
+            fired_per_round[leg].append(count)
     snapshot_bytes //= max(1, len(cells))
-    rounds_run = max(1, rounds)
+
+    def overhead(leg):
+        samples = [
+            1.0 - disabled / active
+            for disabled, active in zip(
+                round_seconds["disabled"], round_seconds[leg]
+            )
+        ]
+        return statistics.median(samples), _bootstrap_median_ci(samples), samples
+
+    armed, armed_ci, armed_samples = overhead("armed")
+    snapshotting, snapshotting_ci, _ = overhead("snapshotting")
+    best = {leg: sum(cell_floors) for leg, cell_floors in floors.items()}
     engines = {
         leg: {
             "seconds": best[leg],
@@ -315,24 +385,29 @@ def _measure_checkpointing(settings: ExperimentSettings, rounds: int) -> dict:
         }
         for leg in legs
     }
+    fired_each = {}
+    for leg, counts in fired_per_round.items():
+        if len(set(counts)) != 1:  # The engine is deterministic.
+            raise RuntimeError(f"{leg} callbacks fired {counts} per round")
+        fired_each[leg] = counts[0]
     return {
         "cells": len(cells),
+        "rounds": rounds,
         "engines": engines,
         "armed_every": armed_every,
         "snapshot_every": snapshot_every,
-        "checkpoints_fired": {
-            leg: count // rounds_run for leg, count in fired.items()
-        },
+        "checkpoints_fired": fired_each,
         "mean_snapshot_bytes": snapshot_bytes,
-        "armed_overhead": 1.0 - best["disabled"] / best["armed"],
-        "snapshotting_overhead": 1.0 - best["disabled"] / best["snapshotting"],
+        "armed_overhead": armed,
+        "armed_overhead_ci95": armed_ci,
+        "armed_overhead_rounds": armed_samples,
+        "snapshotting_overhead": snapshotting,
+        "snapshotting_overhead_ci95": snapshotting_ci,
         "snapshot_seconds_each": (
             max(0.0, best["snapshotting"] - best["armed"])
-            / max(1, fired["snapshotting"] // rounds_run)
+            / max(1, fired_each["snapshotting"])
         ),
-        "bit_identical": (
-            outputs["disabled"] == outputs["armed"] == outputs["snapshotting"]
-        ),
+        "bit_identical": bit_identical,
     }
 
 
@@ -570,6 +645,7 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
     fig9 = measure(_fig9_specs, "fig9")
     inorder = measure(_inorder_specs, "inorder-unaccel")
     fade_active = _measure_fade_active(settings, rounds)
+    unaccelerated = _measure_unaccelerated(settings, rounds)
     checkpointing = _measure_checkpointing(settings, rounds)
     segmented = _measure_segmented(settings, rounds)
     payload = {
@@ -584,11 +660,13 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
             and inorder["bit_identical"]
             and store["bit_identical"]
             and fade_active["bit_identical"]
+            and unaccelerated["bit_identical"]
             and checkpointing["bit_identical"]
             and segmented["bit_identical"]
         ),
         "inorder_unaccelerated": inorder,
         "fade_active": fade_active,
+        "unaccelerated": unaccelerated,
         "checkpointing": checkpointing,
         "segmented": segmented,
         "functional": functional,

@@ -28,7 +28,9 @@ Two engines execute these semantics (``SystemConfig.engine``):
   cycle counters and the time-weighted queue-occupancy statistics in bulk.
   Any cycle in which an agent acts runs through the reference stepper
   verbatim, so the two engines produce bit-identical results (see
-  DESIGN.md, "Simulation engine").
+  DESIGN.md, "Simulation engine").  Unaccelerated runs take one inline
+  window instead, which jumps the same quiet spans and runs the stepper's
+  arithmetic inline for the rest.
 """
 
 from __future__ import annotations
@@ -73,6 +75,21 @@ _NEVER = 1 << 62
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
 SIM_STATE_VERSION = 3
+
+
+def _crossing_step(target: float, base: float, halves: int, step: int) -> int:
+    """The first app step ``k >= 1`` at which progress ``base + (halves +
+    k*step)/2`` reaches ``target``.  A float estimate seeds the search and
+    the exact progress expression verifies it, so the crossing cycle
+    matches the reference stepper's per-cycle additions bit for bit."""
+    k = int(math.ceil(((target - base) * 2.0 - halves) / step))
+    if k < 1:
+        k = 1
+    while k > 1 and base + (halves + (k - 1) * step) * 0.5 >= target:
+        k -= 1
+    while base + (halves + k * step) * 0.5 < target:
+        k += 1
+    return k
 
 
 class FusionStats:
@@ -657,13 +674,12 @@ class MonitoringSimulation:
             f"({self.result.benchmark}/{self.result.monitor})"
         )
 
-    def _run_naive(self) -> None:
-        """Reference stepper: one simulated cycle per iteration."""
+    def _drive(self, advance) -> None:
+        """Call ``advance`` until the run is done, raising at the cycle
+        limit and firing checkpoints / pausing at the segment boundary
+        between calls (``advance`` must consume at least one cycle)."""
         max_cycles = self.config.max_cycles
         done = self._done
-        step = self._step_cycle
-        if _COVERAGE.enabled and not done():
-            _COVERAGE.hit("engine.step")
         while not done():
             if self._now >= max_cycles:
                 raise self._cycle_limit_error()
@@ -671,7 +687,13 @@ class MonitoringSimulation:
                 self._emit_checkpoint()
             if self._app_index >= self._stop_at:
                 return
-            step()
+            advance()
+
+    def _run_naive(self) -> None:
+        """Reference stepper: one simulated cycle per iteration."""
+        if _COVERAGE.enabled and not self._done():
+            _COVERAGE.hit("engine.step")
+        self._drive(self._step_cycle)
 
     def _run_event(self) -> None:
         """Event-driven core: jump across provably quiet intervals.
@@ -681,7 +703,14 @@ class MonitoringSimulation:
         bulk-accounted step.  Because skips cover only cycles in which the
         reference stepper would mutate nothing but counters, the final
         :class:`RunResult` is bit-identical to the naive engine's.
+
+        Unaccelerated runs take no horizon probes at all: they run through
+        :meth:`_unaccelerated_window`, which returns only at the cycle
+        limit, at a checkpoint/segment boundary, or when the run is done.
         """
+        if self.fade is None:
+            self._drive(self._unaccelerated_window)
+            return
         max_cycles = self.config.max_cycles
         done = self._done
         step = self._step_cycle
@@ -731,6 +760,298 @@ class MonitoringSimulation:
                     probe_gap <<= 1
                 gap = probe_gap - 1
 
+    def _unaccelerated_window(self) -> None:
+        """Run a FADE-less simulation inline: the app, the monitor and the
+        single queue live in locals, and each iteration either jumps one
+        quiet span or runs one reference cycle.
+
+        A span is a run of cycles in which the monitor neither completes
+        nor dispatches a handler and the app delivers nothing: it ends
+        before the handler's completion cycle or before the crossing of
+        the next plan item the app would enqueue (the last plan item's
+        crossing, where the app finishes, and the boundary item's crossing
+        end it too).  Progress over the span is the stepper's integer
+        half-cycle sum, so crossings are found with the seed-and-verify
+        search of :func:`_crossing_step` and the app index catches up
+        over the non-delivering items in between.  Every other cycle runs
+        the stepper's own arithmetic inline: handler completion and
+        dispatch with the budget carried within the cycle, retirement with
+        block and unblock, the queue sample and the cycle breakdown.
+        Without FADE a handler's effects depend only on queue order, never
+        on the cycle it runs in, so dispatching inline is exact.
+
+        Returns, with every piece of state written back, when the run is
+        done, at the cycle limit, or once the app reaches the next
+        checkpoint or segment boundary (``_run_event`` handles all three).
+        """
+        now = self._now
+        limit = self.config.max_cycles
+        boundary = self._checkpoint_at
+        if self._stop_at < boundary:
+            boundary = self._stop_at
+        schedule = self._schedule
+        plan = self._plan
+        plan_len = self._plan_len
+        # The last plan index a span may stop short of: crossing it
+        # finishes the app or reaches the boundary.
+        last = plan_len - 1 if boundary > plan_len else boundary - 1
+        smt = self._smt
+        budget_full = self._budget_full
+        budget_half = self._budget_half
+        unit_scale = self._unit_scale
+        sample = self._sample
+        hist = self._eq_hist
+        entries = self._wq_entries
+        popleft = entries.popleft
+        append = entries.append
+        capacity = self._wq_capacity
+        if capacity is None:
+            capacity = _NEVER
+        stats = self.work_queue.stats
+        result = self.result
+        breakdown = self._breakdown
+        totals = result.handler_instructions
+        track_filtering = self._track_filtering
+        monitor = self.monitor
+        # Stack updates the monitor ignores retire without an enqueue.
+        skip_stack = not monitor.monitors_stack_updates
+        instruction_kind = _ItemKind.INSTRUCTION_EVENT
+        stack_kind = _ItemKind.STACK_UPDATE
+        filterable = (HandlerClass.CLEAN_CHECK, HandlerClass.REDUNDANT_UPDATE)
+        # Per-class handler costs, keyed by the member's value (a str, so
+        # no Python-level Enum hash per handler) and summed in dispatch
+        # order from the run's totals; written back on exit.
+        costs: dict = {}
+        cost_classes: List[HandlerClass] = []
+
+        app_index = self._app_index
+        blocked = self._app_blocked
+        base = self._progress_base
+        halves = self._progress_halves
+        item = self._monitor_item
+        remaining = self._monitor_remaining
+        # Hot counters, written back on exit.
+        enqueued = stats.enqueued
+        dequeued = stats.dequeued
+        rejected = stats.rejected
+        max_occupancy = stats.max_occupancy
+        busy_cycles = result.monitor_busy_cycles
+        blocked_cycles = result.app_blocked_cycles
+        handlers = result.handlers_executed
+        app_idle = breakdown.app_idle
+        monitor_idle = breakdown.monitor_idle
+        both_busy = breakdown.both_busy
+        # The plan item the next running span stops short of (-1: unknown;
+        # valid until the app index passes it), and the cycle it crosses
+        # at ``cross_halves`` half-cycles per cycle (0: unknown; valid while
+        # every cycle since advanced progress by that share).
+        next_j = -1
+        cross_at = 0
+        cross_halves = 0
+        blocked_span = running_span = finished_tail = multi_handler = False
+        try:
+            while True:
+                running = app_index < plan_len
+                if not running and item is None and not entries:
+                    break  # Done.
+                if now >= limit or app_index >= boundary:
+                    break
+                # ---- quiet span length ----------------------------------
+                if item is None:
+                    busy = False
+                    span = 0 if entries else _NEVER  # 0: dispatch now.
+                else:
+                    busy = True
+                    budget = (
+                        budget_half if smt and running and not blocked
+                        else budget_full
+                    )
+                    # Cycles before the one in which the handler completes.
+                    span = (remaining - 1) // budget
+                if span > 0 and running:
+                    if blocked:
+                        # Retries keep failing while the queue is full; a
+                        # slot frees only on a dispatch cycle.
+                        if len(entries) < capacity:
+                            span = 0
+                    else:
+                        step_halves = 1 if smt and busy else 2
+                        if next_j < 0:
+                            j = app_index
+                            while j < last and (
+                                plan[j] is None
+                                or (skip_stack and plan[j].kind is stack_kind)
+                            ):
+                                j += 1
+                            next_j = j
+                            cross_halves = 0
+                        if cross_halves != step_halves:
+                            cross_at = now - 1 + _crossing_step(
+                                schedule[next_j], base, halves, step_halves
+                            )
+                            cross_halves = step_halves
+                        if cross_at - now < span:
+                            span = cross_at - now
+                if span > 0:
+                    # ---- quiet span: counters accrue in bulk -------------
+                    if span > limit - now:
+                        span = limit - now
+                    if busy:
+                        remaining -= span * budget
+                        busy_cycles += span
+                    if not running:
+                        finished_tail = True
+                    elif blocked:
+                        blocked_cycles += span
+                        rejected += span
+                        blocked_span = True
+                    else:
+                        halves += span * step_halves
+                        progress = base + halves * 0.5
+                        while app_index < next_j and schedule[app_index] <= progress:
+                            app_index += 1  # Non-delivering items crossed.
+                        running_span = True
+                    if sample:
+                        hist[len(entries)] += span
+                    if not busy:
+                        monitor_idle += span
+                    elif blocked:
+                        app_idle += span
+                    else:
+                        both_busy += span
+                    now += span
+                    continue
+
+                # ---- one reference cycle: the monitor ------------------
+                if not running:
+                    finished_tail = True
+                if busy or entries:
+                    budget = (
+                        budget_half if smt and running and not blocked
+                        else budget_full
+                    )
+                    started = 0
+                    while budget > 0:
+                        if item is None:
+                            if not entries:
+                                break
+                            # Dispatch: the handler's functional effects.
+                            item = popleft()
+                            dequeued += 1
+                            kind = item.kind
+                            if kind is instruction_kind:
+                                outcome = monitor.handle_event(
+                                    item.payload, item.handler_kind
+                                )
+                                # Figure 4(b, c): what FADE could filter.
+                                track_filtering(outcome.handler_class in filterable)
+                            elif kind is stack_kind:
+                                outcome = monitor.handle_stack_update(
+                                    item.payload.stack_update
+                                )
+                            else:
+                                outcome = monitor.handle_high_level(item.payload)
+                            handler_class = outcome.handler_class
+                            cost = outcome.cost
+                            try:
+                                costs[handler_class._value_] += cost
+                            except KeyError:
+                                costs[handler_class._value_] = (
+                                    totals.setdefault(handler_class, 0.0) + cost
+                                )
+                                cost_classes.append(handler_class)
+                            handlers += 1
+                            remaining = int(cost) * unit_scale
+                            started += 1
+                        take = remaining if remaining < budget else budget
+                        remaining -= take
+                        budget -= take
+                        if remaining <= 0:
+                            item = None
+                            remaining = 0
+                    busy_cycles += 1
+                    busy = item is not None or bool(entries)
+                    if started > 1:
+                        multi_handler = True
+                # ---- the app -------------------------------------------
+                if running:
+                    if blocked and len(entries) < capacity:
+                        append(plan[app_index])
+                        enqueued += 1
+                        if len(entries) > max_occupancy:
+                            max_occupancy = len(entries)
+                        app_index += 1
+                        blocked = False
+                        next_j = -1
+                    if blocked:
+                        rejected += 1
+                        blocked_cycles += 1
+                    else:
+                        step_halves = 1 if smt and busy else 2
+                        if step_halves != cross_halves:
+                            cross_halves = 0
+                        halves += step_halves
+                        progress = base + halves * 0.5
+                        while app_index < plan_len and schedule[app_index] <= progress:
+                            work = plan[app_index]
+                            if work is not None and not (
+                                skip_stack and work.kind is stack_kind
+                            ):
+                                if len(entries) >= capacity:
+                                    # Freeze progress at the blocked item.
+                                    rejected += 1
+                                    blocked_cycles += 1
+                                    blocked = True
+                                    base = schedule[app_index]
+                                    halves = 0
+                                    break
+                                append(work)
+                                enqueued += 1
+                                if len(entries) > max_occupancy:
+                                    max_occupancy = len(entries)
+                            app_index += 1
+                        if app_index > next_j or blocked:
+                            next_j = -1
+                if sample:
+                    hist[len(entries)] += 1
+                if not busy:
+                    monitor_idle += 1
+                elif blocked:
+                    app_idle += 1
+                else:
+                    both_busy += 1
+                now += 1
+        finally:
+            self._now = now
+            self._app_index = app_index
+            self._app_blocked = blocked
+            self._progress_base = base
+            self._progress_halves = halves
+            self._monitor_item = item
+            self._monitor_remaining = remaining
+            stats.enqueued = enqueued
+            stats.dequeued = dequeued
+            stats.rejected = rejected
+            stats.max_occupancy = max_occupancy
+            result.monitor_busy_cycles = busy_cycles
+            result.app_blocked_cycles = blocked_cycles
+            result.handlers_executed = handlers
+            breakdown.app_idle = app_idle
+            breakdown.monitor_idle = monitor_idle
+            breakdown.both_busy = both_busy
+            for handler_class in cost_classes:
+                totals[handler_class] = costs[handler_class._value_]
+        if _COVERAGE.enabled:
+            cov = _COVERAGE
+            if blocked_span:
+                cov.hit("unaccel.blocked_span")
+            if running_span:
+                cov.hit("unaccel.running_span")
+            if multi_handler:
+                cov.hit("unaccel.multi_handler")
+            if finished_tail:
+                cov.hit("unaccel.finished_tail")
+
     def _step_cycle(self) -> None:
         """One cycle of the reference semantics (shared by both engines)."""
         monitor_busy = self._monitor_step()
@@ -774,6 +1095,8 @@ class MonitoringSimulation:
         accrues time and counters.  0 means "some agent acts this cycle; run
         the reference stepper".  The computation is conservative: whenever a
         state change cannot be ruled out, the cycle is treated as non-quiet.
+        Only FADE runs probe it (unaccelerated runs take
+        :meth:`_unaccelerated_window`).
         """
         item = self._monitor_item
         if item is None:
@@ -793,12 +1116,11 @@ class MonitoringSimulation:
             # The handler completes on cycle ceil(remaining / budget); all
             # earlier cycles only decrement the integer remainder.
             horizon = (remaining - 1) // budget
-        if self.fade is not None:
-            fade_horizon = self._fade_quiet_horizon()
-            if fade_horizon == 0:
-                return 0
-            if fade_horizon < horizon:
-                horizon = fade_horizon
+        fade_horizon = self._fade_quiet_horizon()
+        if fade_horizon == 0:
+            return 0
+        if fade_horizon < horizon:
+            horizon = fade_horizon
         app_horizon = self._app_quiet_horizon(monitor_busy)
         return app_horizon if app_horizon < horizon else horizon
 
@@ -846,28 +1168,17 @@ class MonitoringSimulation:
         if self._app_index >= self._plan_len:
             return _NEVER
         if self._app_blocked:
-            # Blocked deliveries keep failing while the target queue is
+            # Blocked deliveries keep failing while the event queue is
             # full; the dequeue that frees a slot is itself non-quiet.
-            queue = self.event_queue if self.fade is not None else self.work_queue
-            return _NEVER if queue.is_full else 0
-        halves = 1 if (self._smt and monitor_busy) else 2
-        target = self._schedule[self._app_index]
-        base = self._progress_base
-        current = self._progress_halves
-        if target <= base + (current + halves) * 0.5:
-            return 0  # A retirement crosses this cycle.
-        # First crossing cycle k: the smallest k with
-        # base + (current + k*halves)/2 >= target.  A float estimate seeds
-        # the search; the exact progress expression then verifies it, so the
-        # crossing cycle matches the reference stepper bit for bit.
-        k = int(math.ceil(((target - base) * 2.0 - current) / halves))
-        if k < 2:
-            k = 2
-        while k > 2 and base + (current + (k - 1) * halves) * 0.5 >= target:
-            k -= 1
-        while base + (current + k * halves) * 0.5 < target:
-            k += 1
-        return k - 1
+            return _NEVER if self.event_queue.is_full else 0
+        # Quiet until the cycle before the next retirement crossing (0: a
+        # retirement crosses this cycle).
+        return _crossing_step(
+            self._schedule[self._app_index],
+            self._progress_base,
+            self._progress_halves,
+            1 if (self._smt and monitor_busy) else 2,
+        ) - 1
 
     def _skip_cycles(self, cycles: int) -> None:
         """Advance ``cycles`` quiet cycles in one jump, accruing exactly the
@@ -881,7 +1192,7 @@ class MonitoringSimulation:
                 budget = self._budget_full
             self._monitor_remaining -= cycles * budget
             result.monitor_busy_cycles += cycles
-        if self.fade is not None and self._fade_ready_at <= self._now:
+        if self._fade_ready_at <= self._now:
             if self._fade_wait_seq is not None:
                 result.fade_wait_cycles += cycles
             elif self._fade_draining:
@@ -889,16 +1200,14 @@ class MonitoringSimulation:
         if self._app_index < self._plan_len:
             if self._app_blocked:
                 result.app_blocked_cycles += cycles
-                queue = self.event_queue if self.fade is not None else self.work_queue
-                queue.stats.rejected += cycles
+                self.event_queue.stats.rejected += cycles
             elif self._smt and monitor_busy:
                 self._progress_halves += cycles
             else:
                 self._progress_halves += 2 * cycles
         if self._sample:
             self._eq_hist[len(self._eq_entries)] += cycles
-            if self._split_queues:
-                self._wq_hist[len(self._wq_entries)] += cycles
+            self._wq_hist[len(self._wq_entries)] += cycles
         self._breakdown.record(self._app_blocked, monitor_busy, cycles)
         self._now += cycles
 
@@ -993,7 +1302,6 @@ class MonitoringSimulation:
         eq_hist = self._eq_hist
         tlb_extra = self._tlb_service_cycles
         app_finished = app_index >= plan_len
-        ceil = math.ceil
         eq_append = eq_entries.append
 
         t = limit if fade_inert else (ready if ready > start else start)
@@ -1101,23 +1409,9 @@ class MonitoringSimulation:
                             schedule[j] if j < plan_len
                             else schedule[plan_len - 1]
                         )
-                        # First app step n >= 1 with base +
-                        # (halves + n*h)/2 >= target, found exactly
-                        # like _app_quiet_horizon.
-                        k = int(
-                            ceil(((target - base) * 2.0 - halves) / step_halves)
+                        next_delivery = cur - 1 + _crossing_step(
+                            target, base, halves, step_halves
                         )
-                        if k < 1:
-                            k = 1
-                        while (
-                            k > 1
-                            and base + (halves + (k - 1) * step_halves) * 0.5
-                            >= target
-                        ):
-                            k -= 1
-                        while base + (halves + k * step_halves) * 0.5 < target:
-                            k += 1
-                        next_delivery = cur + k - 1
                         next_j = j
                     event_cycle = next_delivery
                     span = (
@@ -1382,7 +1676,7 @@ class MonitoringSimulation:
                 breakdown.both_busy += window
         else:
             breakdown.monitor_idle += window
-        if sample and self._split_queues and end > wq_mark:
+        if sample and end > wq_mark:
             # Unfiltered-queue occupancy was constant since the last
             # unfiltered enqueue (monitor cycles are excluded).
             self._wq_hist[len(wq_entries)] += end - wq_mark

@@ -38,6 +38,11 @@ TRACKED_STATES: Tuple[str, ...] = (
     # --- engine regimes (system/simulator.py) ---------------------------
     "engine.skip",          # A quiet interval was jumped in one step.
     "engine.step",          # A reference stepper cycle ran.
+    # --- unaccelerated window (MonitoringSimulation._unaccelerated_window)
+    "unaccel.blocked_span",   # Backpressured retries jumped as one span.
+    "unaccel.running_span",   # Retirement progress jumped as one span.
+    "unaccel.multi_handler",  # Two or more handlers dispatched in a cycle.
+    "unaccel.finished_tail",  # Monitor drained the queue after the app.
     # --- fusion window kinds (MonitoringSimulation._fused_drain) --------
     "fuse.filtered_run",    # Window drained >= 1 filtered event.
     "fuse.unfiltered_exit", # Window ended on an unfiltered event.

@@ -231,6 +231,127 @@ def test_engines_agree_on_cycle_limit():
             )
 
 
+# ------------------------------------------------- unaccelerated window
+
+
+@pytest.mark.parametrize("warmup", [0.0, 0.5], ids=["cold", "warmed"])
+@pytest.mark.parametrize(
+    "capacity", [1, 32, None], ids=["eq1", "eq32", "eq-infinite"]
+)
+@pytest.mark.parametrize(
+    "topology", [Topology.SINGLE_CORE_SMT, Topology.TWO_CORE],
+    ids=["smt", "two-core"],
+)
+@pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
+def test_unaccelerated_window_bit_identical(
+    monitor_name, topology, capacity, warmup
+):
+    """The inline unaccelerated window against the naive stepper: every
+    monitor, both topologies, a one-entry queue (blocked on almost every
+    delivery), the default queue and an infinite one (never blocked)."""
+    naive, event = run_both(
+        monitor_name,
+        bench_for(monitor_name),
+        warmup=warmup,
+        fade_enabled=False,
+        topology=topology,
+        event_queue_capacity=capacity,
+    )
+    assert naive.to_dict() == event.to_dict()
+
+
+@pytest.mark.parametrize("capacity", [32, None], ids=["eq32", "eq-infinite"])
+def test_unaccelerated_zero_cost_handler_chains(capacity):
+    """AtomCheck on mcf queues zero-cost handlers, so one cycle completes
+    and dispatches several handlers with the budget carried over."""
+    naive, event = run_both(
+        "atomcheck", "mcf", n=900, seed=21, warmup=0.5,
+        fade_enabled=False, event_queue_capacity=capacity,
+    )
+    assert naive.to_dict() == event.to_dict()
+
+
+@pytest.mark.parametrize(
+    "topology", [Topology.SINGLE_CORE_SMT, Topology.TWO_CORE],
+    ids=["smt", "two-core"],
+)
+def test_unaccelerated_cycle_limit_parity(topology):
+    """A limit one cycle short of the run trips on both engines with the
+    same error; a limit equal to the run's length trips on neither; a
+    limit inside a quiet span trips on both."""
+    trace = cached_trace("astar")
+    profile = get_profile("astar")
+
+    def outcome(engine, max_cycles):
+        config = SystemConfig(
+            fade_enabled=False, topology=topology, engine=engine,
+            max_cycles=max_cycles,
+        )
+        try:
+            result = simulate(trace, create_monitor("memcheck"), config, profile)
+        except SimulationError as error:
+            return str(error)
+        return result.to_dict()
+
+    cycles = int(outcome("naive", 10**9)["cycles"])
+    for max_cycles in (1, 7, cycles // 2, cycles - 1, cycles):
+        assert outcome("event", max_cycles) == outcome("naive", max_cycles)
+    assert isinstance(outcome("event", cycles - 1), str)
+    assert isinstance(outcome("event", cycles), dict)
+
+
+@pytest.mark.parametrize(
+    "capacity", [1, 32], ids=["eq1", "eq32"]
+)
+@pytest.mark.parametrize("monitor_name", ["memcheck", "memleak"])
+def test_unaccelerated_checkpoints_match_naive_and_resume(
+    monitor_name, capacity
+):
+    """Checkpoints of an unaccelerated event run fire at the naive
+    stepper's positions with its exact state (the window returns at each
+    threshold), and a fresh simulation restored from any of them finishes
+    with the monolithic result."""
+    import pickle
+
+    from repro.system.simulator import MonitoringSimulation
+
+    benchmark = bench_for(monitor_name)
+    trace = cached_trace(benchmark)
+    profile = get_profile(benchmark)
+    warmup_items = len(trace.items) // 4
+
+    def build(engine):
+        config = SystemConfig(
+            fade_enabled=False, engine=engine, event_queue_capacity=capacity
+        )
+        return MonitoringSimulation(
+            trace, create_monitor(monitor_name), config, profile, warmup_items
+        )
+
+    snapshots = {}
+    finals = {}
+    for engine in ENGINES:
+        sim = build(engine)
+        taken = snapshots[engine] = []
+        sim.configure_checkpoints(
+            150, lambda s: taken.append(pickle.dumps(s.snapshot()))
+        )
+        finals[engine] = sim.run().to_dict()
+    assert finals["event"] == finals["naive"]
+    assert len(snapshots["event"]) >= 3
+    for event_blob, naive_blob in zip(snapshots["event"], snapshots["naive"]):
+        event_state = pickle.loads(event_blob)
+        naive_state = pickle.loads(naive_blob)
+        assert event_state.pop("engine") == "event"
+        assert naive_state.pop("engine") == "naive"
+        assert event_state == naive_state
+    assert len(snapshots["event"]) == len(snapshots["naive"])
+    for blob in snapshots["event"]:
+        resumed = build("event")
+        resumed.restore(pickle.loads(blob), owned=True)
+        assert resumed.run().to_dict() == finals["event"]
+
+
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         SystemConfig(engine="warp-drive")
@@ -324,15 +445,18 @@ class TestSegmentedStitching:
     geometries: warmed runs, single-instruction segments, K far beyond the
     trace length, and a cycle limit that trips mid-segment."""
 
-    def _spec(self, engine, n=1500, warmup=0.5, max_cycles=None):
+    def _spec(
+        self, engine, n=1500, warmup=0.5, max_cycles=None,
+        monitor_name="addrcheck", **config_kwargs
+    ):
         from repro.api import ExperimentSettings, RunSpec
 
-        config_kwargs = {"engine": engine}
+        config_kwargs["engine"] = engine
         if max_cycles is not None:
             config_kwargs["max_cycles"] = max_cycles
         return RunSpec(
             "astar",
-            "addrcheck",
+            monitor_name,
             SystemConfig(**config_kwargs),
             ExperimentSettings(
                 num_instructions=n, seed=11, warmup_fraction=warmup
@@ -351,6 +475,22 @@ class TestSegmentedStitching:
         mono = execute_spec(spec, cache).to_dict()
         seg = run_segmented(spec, cache, segments=segments)
         assert seg.to_dict() == mono
+
+    @pytest.mark.parametrize("segments", (2, 4))
+    @pytest.mark.parametrize("monitor_name", ["addrcheck", "taintcheck"])
+    def test_unaccelerated_segmented_matches_monolithic(
+        self, monitor_name, segments
+    ):
+        from repro.api.cache import RunnerCache
+        from repro.api.runner import execute_spec
+        from repro.api.segments import run_segmented
+
+        cache = RunnerCache()
+        spec = self._spec(
+            "event", monitor_name=monitor_name, fade_enabled=False
+        )
+        mono = execute_spec(spec, cache).to_dict()
+        assert run_segmented(spec, cache, segments=segments).to_dict() == mono
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_more_segments_than_instructions(self, engine):

@@ -5,6 +5,7 @@ the coverage map's counters and steering signal.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -258,6 +259,40 @@ class TestCoverageMap:
             "eq.empty",
         ):
             assert state in hit, f"{state} not reached by a default cell"
+
+    def test_unaccelerated_cells_hit_window_states(self):
+        # A one-entry queue blocks the app; AtomCheck on mcf queues
+        # zero-cost handlers that complete within their dispatch cycle.
+        COVERAGE.enable()
+        for benchmark, monitor, capacity in (
+            ("astar", "memleak", 1),
+            ("mcf", "atomcheck", 32),
+        ):
+            config = SystemConfig(
+                fade_enabled=False, event_queue_capacity=capacity
+            )
+            execute_spec(RunSpec(benchmark, monitor, config, TINY), RunnerCache())
+        hit = set(COVERAGE.hit_states())
+        for state in (
+            "unaccel.blocked_span",
+            "unaccel.running_span",
+            "unaccel.multi_handler",
+            "unaccel.finished_tail",
+            "run.unaccelerated",
+        ):
+            assert state in hit, f"{state} not reached by the cell"
+
+    def test_committed_snapshot_lists_every_tracked_state(self):
+        """``fuzz-report/coverage.json`` is the output of ``repro fuzz
+        --budget 200 --seed 0``; adding or removing a tracked state without
+        regenerating it fails here."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "fuzz-report"
+        snapshot = json.loads((path / "coverage.json").read_text())
+        assert (snapshot["seed"], snapshot["cases_run"]) == (0, 200)
+        hit = set(snapshot["hit_states"])
+        missing = set(snapshot["missing_states"])
+        assert not hit & missing
+        assert hit | missing == set(TRACKED_STATES)
 
     def test_enabling_does_not_change_results(self):
         spec = RunSpec("astar", "memcheck", SystemConfig(), TINY)
